@@ -25,12 +25,11 @@ from .interval import (
     ThinnedIntervalState,
     center_series_sample,
     interval_new,
-    run_scaled,
     step_full,
     step_thinned,
     thinned_new,
 )
-from .cube import CubeState, cube_new, cube_run
+from .cube import CubeState, cube_new
 from .simplex import (
     SimplexState,
     SimplexThinned,

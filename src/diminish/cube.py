@@ -17,7 +17,7 @@ from .distributions import DfForm, RngStream
 from .errors import DomainError
 from .interval import IntervalState, interval_new, run_full_batch, step_full
 
-__all__ = ["CubeState", "CubeRun", "UNIFORM_LAW", "cube_new", "cube_trajectory", "cube_run", "cube_run_batch"]
+__all__ = ["CubeState", "UNIFORM_LAW", "cube_new", "cube_trajectory", "cube_run_batch"]
 
 UNIFORM_LAW = DfForm(c=0.5, delta=1.0)
 
@@ -41,16 +41,6 @@ class CubeState:
         return np.array([c.center for c in self.components])
 
 
-@dataclass(frozen=True)
-class CubeRun:
-    """Per-axis scaled edge excesses ``2n (m_i - 1)``, centers, and the scaled max edge."""
-
-    edge_excess: np.ndarray
-    centers: np.ndarray
-    scaled_max: float
-    n: int
-
-
 def cube_new(d: int) -> CubeState:
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
@@ -71,14 +61,6 @@ def cube_trajectory(d: int, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndar
             centers[t, a] = state.center
             radii[t, a] = state.radius
     return centers, radii
-
-
-def cube_run(d: int, n: int, rng: RngStream) -> CubeRun:
-    """Run d independent axis processes and return the scaled edge statistics."""
-    centers, radii = cube_trajectory(d, n, rng)
-    edges = 2.0 * radii[-1]
-    excess = 2.0 * n * (edges - 1.0)
-    return CubeRun(excess, centers[-1].copy(), float(excess.max()), n)
 
 
 def cube_run_batch(d: int, n: int, replicas: int, seed: int, chunk: int = 1024):

@@ -19,6 +19,7 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "RngStream",
+    "replica_blocks",
     "DfForm",
     "LawSpec",
     "df_form_cdf",
@@ -81,6 +82,47 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, path={self.path})"
+
+
+_BLOCK_BYTES = 48e6
+
+
+def replica_blocks(
+    seed: int, replicas: int, n: int, draws: int, chunk: int, path: tuple[int, ...] = ()
+):
+    """Per-replica uniforms of ``n``-step trajectories, for the batch engines.
+
+    Replica ``r`` draws ``draws`` uniforms per step from
+    ``RngStream(seed, r, path)`` in step order, which is what lets a batch
+    row replay the scalar stepper on that stream.  Yields
+    ``(start, stop, blocks)`` per chunk of at most ``chunk`` replicas;
+    ``blocks`` yields arrays ``u`` of shape ``(stop - start, width, draws)``
+    covering the ``n`` steps in order, ``u[i, t]`` being the draws of the
+    next step of replica ``start + i``.  A block is at most 48 MB and its
+    buffer is reused, so it is only valid until the next one is requested;
+    blocks are filled on demand, so an engine that stops early draws no
+    further.
+    """
+    if n < 1 or replicas < 1:
+        raise DomainError("n and replicas must be >= 1")
+    return _replica_chunks(seed, replicas, n, draws, chunk, path)
+
+
+def _replica_chunks(seed, replicas, n, draws, chunk, path):
+    for start in range(0, replicas, chunk):
+        stop = min(start + chunk, replicas)
+        streams = [RngStream(seed, r, path) for r in range(start, stop)]
+        yield start, stop, _stream_blocks(streams, n, draws)
+
+
+def _stream_blocks(streams: list[RngStream], n: int, draws: int):
+    block = max(1, min(n, int(_BLOCK_BYTES / (len(streams) * draws * 8))))
+    u = np.empty((len(streams), block, draws))
+    for done in range(0, n, block):
+        width = min(block, n - done)
+        for i, s in enumerate(streams):
+            u[i, :width] = s.uniform((width, draws))
+        yield u[:, :width]
 
 
 # ---------------------------------------------------------------------------

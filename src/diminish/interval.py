@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DfForm, RngStream, df_form_ppf
+from .distributions import DfForm, RngStream, df_form_ppf, replica_blocks
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
     "IntervalState",
     "ThinnedIntervalState",
-    "IntervalRun",
     "interval_new",
     "thinned_new",
     "apply_full_step",
@@ -35,7 +34,6 @@ __all__ = [
     "center_series_sample",
     "center_series_batch",
     "perpetuity_step",
-    "run_scaled",
     "run_full_batch",
 ]
 
@@ -82,24 +80,6 @@ class ThinnedIntervalState:
             raise DomainError("|center| + excess must not exceed 1/2")
 
 
-@dataclass(frozen=True)
-class IntervalRun:
-    """Scaled radius statistic of one replica, with the final state.
-
-    The final center is a proxy for the limiting center; its residual bias
-    is bounded by ``radius - 1/2``.
-    """
-
-    scaled: float
-    center: float
-    radius: float
-    n: int
-
-    @property
-    def bias_bound(self) -> float:
-        return self.radius - 0.5
-
-
 def interval_new(law: DfForm) -> IntervalState:
     """Start state: the interval [-1, 1]."""
     return IntervalState(0.0, 1.0, law)
@@ -115,7 +95,8 @@ def apply_full_step(s: IntervalState, x: float) -> IntervalState:
     The point is ``p = Z - r + 2 r x``; the new interval is
     ``[max(Z - r, p - 1), min(Z + r, p + 1)]``.  The new radius must agree
     with the one-line recursion ``1/2 + r min(x, 1-x)`` (no-change branch
-    when ``min(x, 1-x) > 1 - 1/(2r)``), which is asserted as a cross-check.
+    when ``min(x, 1-x) > 1 - 1/(2r)``); a mismatch raises
+    :class:`StateCorruptionError`.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("quantile draw must lie in [0, 1]")
@@ -128,7 +109,8 @@ def apply_full_step(s: IntervalState, x: float) -> IntervalState:
     new = IntervalState(0.5 * (lo + hi), 0.5 * (hi - lo), s.law)
     m = min(x, 1.0 - x)
     expected = 0.5 + r * m if m <= 1.0 - 1.0 / (2.0 * r) else r
-    assert abs(new.radius - expected) <= 1e-12, "geometric step diverged from radius recursion"
+    if not abs(new.radius - expected) <= 1e-12:
+        raise StateCorruptionError("geometric step diverged from radius recursion")
     return new
 
 
@@ -233,18 +215,6 @@ def perpetuity_step(z, rng: RngStream, c: float, delta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def run_scaled(s: IntervalState, n: int, rng: RngStream) -> IntervalRun:
-    """Advance ``n`` full steps and return ``4 n**(1/delta) (r_n - 1/2)``."""
-    if n < 1:
-        raise DomainError("step count must be >= 1")
-    x_all = df_form_ppf(rng.uniform(n), s.law)
-    state = s
-    for x in x_all:
-        state = apply_full_step(state, float(x))
-    scaled = 4.0 * n ** (1.0 / s.law.delta) * (state.radius - 0.5)
-    return IntervalRun(scaled, state.center, state.radius, n)
-
-
 def run_full_batch(
     law: DfForm,
     n: int,
@@ -256,29 +226,18 @@ def run_full_batch(
     """Run independent replicas of the full process, vectorized per step.
 
     Replica ``r`` consumes exactly the uniforms of ``RngStream(seed, r, path)``
-    in trajectory order (fetched from the live streams in step blocks), so
-    each row reproduces the scalar :func:`run_scaled` trajectory for the
-    same stream.  Returns ``(radii, centers)``.
+    in trajectory order, so each row reproduces the scalar :func:`step_full`
+    trajectory for the same stream.  Returns ``(radii, centers)``.
     """
-    if n < 1 or replicas < 1:
-        raise DomainError("n and replicas must be >= 1")
+    chunks = replica_blocks(seed, replicas, n, 1, chunk, path)
     radii = np.empty(replicas)
     centers = np.empty(replicas)
-    for start in range(0, replicas, chunk):
-        stop = min(start + chunk, replicas)
-        c = stop - start
-        streams = [RngStream(seed, r, path) for r in range(start, stop)]
-        block = max(1, min(n, int(48e6 / (c * 8))))
-        u = np.empty((c, block))
-        z = np.zeros(c)
-        r = np.ones(c)
-        done = 0
-        while done < n:
-            width = min(block, n - done)
-            for i, s in enumerate(streams):
-                u[i, :width] = s.uniform(width)
-            x = df_form_ppf(u[:, :width], law)
-            for t in range(width):
+    for start, stop, blocks in chunks:
+        z = np.zeros(stop - start)
+        r = np.ones(stop - start)
+        for u in blocks:
+            x = df_form_ppf(u[:, :, 0], law)
+            for t in range(x.shape[1]):
                 xt = x[:, t]
                 p = z - r + 2.0 * r * xt
                 keep = (p - 1.0 <= z - r) & (p + 1.0 >= z + r)
@@ -286,7 +245,6 @@ def run_full_batch(
                 hi = np.minimum(z + r, p + 1.0)
                 z = np.where(keep, z, 0.5 * (lo + hi))
                 r = np.where(keep, r, 0.5 * (hi - lo))
-            done += width
         radii[start:stop] = r
         centers[start:stop] = z
     return radii, centers

@@ -1,11 +1,11 @@
 """Brute-force geometric oracles, independent of the offset-algebra engines.
 
-The polygon oracle maintains an explicit vertex cycle and intersects it with
-each chosen translate by Sutherland-Hodgman clipping against the translate's
-own edges; it never touches support offsets or the ``rho_k`` shortcut.  The
-simplex oracle hands the accumulated facet half-spaces (facet planes fitted
-to translate vertices by least squares) to Qhull and reads the intersection
-vertices back.  Both exist to cross-check the process engines.
+The polygon clipper intersects an explicit vertex cycle with a translate by
+Sutherland-Hodgman clipping against the translate's own edges; it never
+touches support offsets or the ``rho_k`` shortcut.  The simplex oracle hands
+the accumulated facet half-spaces (facet planes fitted to translate vertices
+by least squares) to Qhull and reads the intersection vertices back.  Both
+exist to cross-check the process engines.
 """
 
 from __future__ import annotations
@@ -13,13 +13,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
-from .errors import StateCorruptionError
-from .polygon import reference_vertices
 from .simplex import vertex_matrix
 
 __all__ = [
     "clip_convex_by_convex",
-    "polygon_intersection_oracle",
     "simplex_intersection_oracle",
     "match_point_sets",
 ]
@@ -54,17 +51,6 @@ def clip_convex_by_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarra
         if len(out) == 0:
             return out
     return out
-
-
-def polygon_intersection_oracle(k: int, points) -> np.ndarray:
-    """Vertex cycle of ``K`` intersected with every translate ``p + K``."""
-    verts = np.asarray(reference_vertices(k), dtype=float).copy()
-    base = np.asarray(reference_vertices(k), dtype=float)
-    for p in points:
-        verts = clip_convex_by_convex(verts, base + np.asarray(p, dtype=float))
-        if len(verts) < 3:
-            raise StateCorruptionError("oracle intersection degenerated")
-    return verts
 
 
 def _facet_halfspaces(vertices: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RngStream
+from .distributions import RngStream, replica_blocks
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -480,15 +480,13 @@ def run_polygon_batch(
 
     Replica ``r`` consumes the uniforms of ``RngStream(seed, r)`` in
     trajectory order (three per step), so every row replays the scalar
-    stepper exactly; draws are fetched from the live streams in step blocks
-    to bound memory.  Rows whose candidate cycle fails feasibility at some
-    step (degenerate k-gons, k >= 6) are advanced through the exact clipping
-    path for that step.
+    stepper.  Rows whose candidate cycle fails feasibility at some step
+    (degenerate k-gons, k >= 6) are advanced through the exact clipping path
+    for that step.
     """
-    if n < 1 or replicas < 1:
-        raise DomainError("n and replicas must be >= 1")
     if k < 5:
         raise DomainError(f"k must be >= 5, got {k}")
+    chunks = replica_blocks(seed, replicas, n, 3, chunk)
     dirs = np.asarray(reference_directions(k))
     inv = np.asarray(_pair_inverses(k))
     rho = math.cos(math.pi / k)
@@ -504,12 +502,8 @@ def run_polygon_batch(
     fallback = np.zeros(replicas, dtype=int)
 
     lam = GOLDEN_LAMBDA
-    for start in range(0, replicas, chunk):
-        stop = min(start + chunk, replicas)
+    for start, stop, blocks in chunks:
         c = stop - start
-        streams = [RngStream(seed, r) for r in range(start, stop)]
-        block = max(1, min(n, int(48e6 / (c * 3 * 8))))
-        raw = np.empty((c, block, 3))
         o = np.full((k, c), -rho)
         cols = np.arange(c)
         a_min = np.full(c, np.inf)
@@ -518,13 +512,9 @@ def run_polygon_batch(
         sl_min = np.full(c, np.inf)
         rise = np.full(c, -np.inf)
         prev_heights = None
-        done = 0
-        while done < n:
-            width = min(block, n - done)
-            for i, s in enumerate(streams):
-                raw[i, :width] = s.uniform((width, 3))
-            u = raw[:, :width].transpose(1, 2, 0).copy()  # (step, draw, replica)
-            for t in range(width):
+        for raw in blocks:
+            u = raw.transpose(1, 2, 0).copy()  # (step, draw, replica)
+            for t in range(len(u)):
                 cand_x, cand_y, slack, heights, tri, area = _batch_geometry(k, o, dirs, inv)
                 bad = slack < -_FEAS_EPS
                 if bad.any():
@@ -565,7 +555,6 @@ def run_polygon_batch(
                 prev_heights = heights
                 pd = dirs[:, 0, None] * px + dirs[:, 1, None] * py
                 np.maximum(o, pd - rho, out=o)
-            done += width
         _, _, slack, heights, _, area = _batch_geometry(k, o, dirs, inv)
         bad = slack < -_FEAS_EPS
         np.minimum(sl_min, np.where(bad, np.inf, slack), out=sl_min)

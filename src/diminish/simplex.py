@@ -10,7 +10,10 @@ current body in the fixed unit outer facet normals ``-e_i``:
 
 Scale, center and height are linear in the offsets: the height (vertex to
 opposite facet) is simply ``sum(beta)``.  One step intersects with the
-translate ``p + K``, i.e. ``beta_i <- min(beta_i, rho - <p, e_i>)``.
+translate ``p + K``, i.e. ``beta_i <- min(beta_i, rho - <p, e_i>)``.  For a
+point with barycentric weights ``lambda`` over the current vertices,
+``<p, e_i> = m lambda_i - beta_i`` with ``m = sum(beta)``, so the step is
+the closed form ``beta_i <- beta_i - max(0, m lambda_i - rho)``.
 
 Draw discipline: the full step consumes ``d + 1`` uniforms (exponential
 spacings of the uniform point), the thinned step consumes two (vertex pick,
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RngStream
+from .distributions import RngStream, replica_blocks
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "vertex_matrix",
     "simplex_new",
     "apply_simplex_point",
+    "offsets_after_point",
     "simplex_full_step",
     "change_probability",
     "simplex_thinned_new",
@@ -124,16 +128,32 @@ def apply_simplex_point(s: SimplexState, p) -> SimplexState:
     return SimplexState(s.d, np.minimum(s.offsets, s.rho - e @ p))
 
 
+def offsets_after_point(offsets: np.ndarray, lam: np.ndarray, rho: float) -> np.ndarray:
+    """Offsets after intersecting with ``p + K``, one replica per row.
+
+    ``lam`` holds the barycentric weights of ``p`` over the current
+    vertices.  Facet i moves in by ``m lambda_i - rho`` when that is
+    positive, ``m`` being the row's height; otherwise the row is returned
+    unchanged.
+    """
+    return offsets - np.maximum(0.0, offsets.sum(axis=-1, keepdims=True) * lam - rho)
+
+
+def _uniform_weights(u: np.ndarray) -> np.ndarray:
+    """Barycentric weights of a uniform point (normalized exponentials), per row of ``u``."""
+    w = -np.log1p(-u)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def simplex_full_step(s: SimplexState, rng: RngStream) -> SimplexState:
     """Choose a uniform point in the current body and intersect.
 
     Uniformity via symmetric Dirichlet(1, ..., 1) weights over the current
-    vertices (normalized exponentials).
+    vertices (normalized exponentials).  The state goes through the batch
+    kernel as a single row, so batch rows replay it exactly.
     """
-    u = rng.uniform(s.d + 1)
-    w = -np.log1p(-u)
-    p = (w @ s.vertices()) / w.sum()
-    return apply_simplex_point(s, p)
+    lam = _uniform_weights(rng.uniform((1, s.d + 1)))
+    return SimplexState(s.d, offsets_after_point(s.offsets[None], lam, s.rho)[0])
 
 
 def change_probability(s: SimplexState) -> float:
@@ -251,35 +271,18 @@ def run_simplex_batch(d: int, n: int, replicas: int, seed: int, chunk: int = 409
     """Vectorized full-process replicas; returns ``(heights, centers)``.
 
     Replica ``r`` consumes the uniforms of ``RngStream(seed, r)`` in
-    trajectory order (``d + 1`` per step, fetched from the live streams in
-    step blocks), matching the scalar stepper.
+    trajectory order (``d + 1`` per step), matching the scalar stepper.
     """
-    if n < 1 or replicas < 1:
-        raise DomainError("n and replicas must be >= 1")
+    chunks = replica_blocks(seed, replicas, n, d + 1, chunk)
     e = vertex_matrix(d)
     rho = 1.0 / d
     heights = np.empty(replicas)
     centers = np.empty((replicas, d))
-    for start in range(0, replicas, chunk):
-        stop = min(start + chunk, replicas)
-        c = stop - start
-        streams = [RngStream(seed, r) for r in range(start, stop)]
-        block = max(1, min(n, int(48e6 / (c * (d + 1) * 8))))
-        u = np.empty((c, block, d + 1))
-        offsets = np.full((c, d + 1), 2.0 * rho / (d + 1))
-        done = 0
-        while done < n:
-            width = min(block, n - done)
-            for i, s in enumerate(streams):
-                u[i, :width] = s.uniform((width, d + 1))
-            for t in range(width):
-                w = -np.log1p(-u[:, t, :])
-                scale = offsets.sum(axis=1) / ((d + 1) * rho)
-                cen = -(d / (d + 1)) * (offsets @ e)
-                verts = scale[:, None, None] * e[None, :, :] + cen[:, None, :]
-                p = np.einsum("cj,cjk->ck", w, verts) / w.sum(axis=1)[:, None]
-                offsets = np.minimum(offsets, rho - p @ e.T)
-            done += width
+    for start, stop, blocks in chunks:
+        offsets = np.full((stop - start, d + 1), 2.0 * rho / (d + 1))
+        for u in blocks:
+            for t in range(u.shape[1]):
+                offsets = offsets_after_point(offsets, _uniform_weights(u[:, t]), rho)
         heights[start:stop] = offsets.sum(axis=1)
         centers[start:stop] = -(d / (d + 1)) * (offsets @ e)
     return heights, centers
@@ -292,21 +295,18 @@ def run_thinned_batch(d: int, replicas: int, seed: int, tol: float = 1e-12, max_
     of the weights is then below ``tol``); replica ``r`` replays the scalar
     stepper on ``RngStream(seed, r)``.
     """
-    block = 512
     out = np.empty((replicas, d + 1))
-    for start in range(0, replicas, block):
-        stop = min(start + block, replicas)
-        u = np.stack([RngStream(seed, r).uniform((max_terms, 2)) for r in range(start, stop)])
+    for start, stop, blocks in replica_blocks(seed, replicas, max_terms, 2, 512):
         c = stop - start
         w = np.full((c, d + 1), 1.0 / (d + 1))
         ell = np.full(c, 1.0 / d)
         rows = np.arange(c)
-        for t in range(max_terms):
+        for ut in (u[:, t] for u in blocks for t in range(u.shape[1])):
             active = ell >= tol
             if not active.any():
                 break
-            xi = np.minimum((u[:, t, 0] * (d + 1)).astype(int), d)
-            h = 1.0 - u[:, t, 1] ** (1.0 / d)
+            xi = np.minimum((ut[:, 0] * (d + 1)).astype(int), d)
+            h = 1.0 - ut[:, 1] ** (1.0 / d)
             shift = np.where(active, (d / (d + 1)) * ell * h, 0.0)
             w -= shift[:, None]
             w[rows, xi] += (d + 1) * shift
@@ -324,27 +324,24 @@ def heights_after_changes(d: int, n_changes: int, replicas: int, seed: int):
 
     Steps that change nothing leave the state untouched, so the embedded
     jump chain is simulated directly: a state of height ``m`` has ``d + 1``
-    change caps, each the ``(m - rho)/m``-homothet of the body anchored at a
-    vertex (equal volumes), and a changing point is uniform in their union.
-    The chosen point then goes through the ordinary offset update; no height
+    change caps, each the ``s``-homothet of the body anchored at a vertex,
+    ``s = (m - rho)/m`` (equal volumes), and a changing point is uniform in
+    their union.  A uniform point with weights ``lambda``, mapped into the
+    cap at vertex ``j``, has weights ``s lambda`` plus ``1 - s`` on vertex
+    ``j``; it then goes through the ordinary offset update, and no height
     law is assumed anywhere.  Shared-stream vectorized diagnostic.
     """
-    e = vertex_matrix(d)
     rho = 1.0 / d
     rng = RngStream(seed)
     offsets = np.full((replicas, d + 1), 2.0 * rho / (d + 1))
     rows = np.arange(replicas)
     for _ in range(n_changes):
         corner = np.minimum((rng.uniform(replicas) * (d + 1)).astype(int), d)
-        w = -np.log1p(-rng.uniform((replicas, d + 1)))
         m = offsets.sum(axis=1)
-        scale = m / ((d + 1) * rho)
-        cen = -(d / (d + 1)) * (offsets @ e)
-        verts = scale[:, None, None] * e[None, :, :] + cen[:, None, :]
-        q = np.einsum("cj,cjk->ck", w, verts) / w.sum(axis=1)[:, None]
-        apex = verts[rows, corner]
-        p = apex + ((m - rho) / m)[:, None] * (q - apex)
-        new = np.minimum(offsets, rho - p @ e.T)
+        s = (m - rho) / m
+        lam = s[:, None] * _uniform_weights(rng.uniform((replicas, d + 1)))
+        lam[rows, corner] += 1.0 - s
+        new = offsets_after_point(offsets, lam, rho)
         if not np.all(new.sum(axis=1) < m - 1e-15):
             raise StateCorruptionError("cap point failed to shrink the body")
         offsets = new

@@ -66,7 +66,6 @@ class RunConfig:
     d: int = 2
     k: int = 5
     out: str | None = None
-    checks: tuple[str, ...] = ()
 
     def validate(self) -> "RunConfig":
         if self.process not in PROCESSES:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diminish.cube import UNIFORM_LAW, cube_new, cube_run, cube_run_batch, cube_trajectory
+from diminish.cube import UNIFORM_LAW, cube_new, cube_run_batch, cube_trajectory
 from diminish.distributions import RngStream
 from diminish.errors import DomainError
 from diminish.interval import interval_new, step_full
@@ -22,31 +22,28 @@ class TestCubeConstruction:
 class TestProductStructure:
     def test_d1_reduces_to_interval(self):
         # same stream -> identical trajectory
-        run = cube_run(1, 300, RngStream(21, 0))
+        centers, radii = cube_trajectory(1, 300, RngStream(21, 0))
         s = interval_new(UNIFORM_LAW)
         rng = RngStream(21, 0).substream(0)
         for _ in range(300):
             s = step_full(s, rng)
-        assert run.centers[0] == pytest.approx(s.center, abs=0)
-        assert run.edge_excess[0] == pytest.approx(2 * 300 * (2 * s.radius - 1), abs=0)
+        assert centers[-1, 0] == s.center
+        assert radii[-1, 0] == s.radius
 
     def test_axis_exchangeability(self):
         # axis a always consumes sub-stream a: permuting assignment permutes outputs
-        run = cube_run(3, 200, RngStream(22, 0))
-        singles = []
+        centers, radii = cube_trajectory(3, 200, RngStream(22, 0))
         for a in range(3):
             s = interval_new(UNIFORM_LAW)
             rng = RngStream(22, 0).substream(a)
             for _ in range(200):
                 s = step_full(s, rng)
-            singles.append((s.center, 2 * 200 * (2 * s.radius - 1)))
-        for a in range(3):
-            assert run.centers[a] == singles[a][0]
-            assert run.edge_excess[a] == singles[a][1]
+            assert centers[-1, a] == s.center
+            assert radii[-1, a] == s.radius
 
     def test_scaled_max_is_max(self):
-        run = cube_run(4, 150, RngStream(23, 0))
-        assert run.scaled_max == pytest.approx(run.edge_excess.max(), abs=0)
+        scaled_max, excess, _ = cube_run_batch(4, 150, 5, seed=23)
+        assert np.array_equal(scaled_max, excess.max(axis=1))
 
     def test_trajectory_monotone(self):
         centers, radii = cube_trajectory(2, 100, RngStream(24, 0))
@@ -68,9 +65,11 @@ class TestLimitLaws:
 
 class TestBatch:
     def test_batch_rows_replay_scalar(self):
-        scaled_max, excess, centers = cube_run_batch(2, 250, 4, seed=25, chunk=3)
-        for r in range(4):
-            run = cube_run(2, 250, RngStream(25, r))
-            assert np.allclose(excess[r], run.edge_excess, atol=1e-12, rtol=0)
-            assert np.allclose(centers[r], run.centers, atol=1e-13, rtol=0)
-            assert scaled_max[r] == pytest.approx(run.scaled_max, abs=1e-12)
+        for d in (1, 2, 3, 5):
+            scaled_max, excess, centers = cube_run_batch(d, 250, 4, seed=25, chunk=3)
+            for r in range(4):
+                cent, radii = cube_trajectory(d, 250, RngStream(25, r))
+                row_excess = 2.0 * 250 * (2.0 * radii[-1] - 1.0)
+                assert np.array_equal(excess[r], row_excess)
+                assert np.array_equal(centers[r], cent[-1])
+                assert scaled_max[r] == row_excess.max()

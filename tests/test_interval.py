@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diminish
 from diminish.distributions import (
     DfForm,
     RngStream,
@@ -21,7 +28,6 @@ from diminish.interval import (
     interval_new,
     perpetuity_step,
     run_full_batch,
-    run_scaled,
     step_full,
     step_thinned,
     thinned_new,
@@ -65,6 +71,31 @@ class TestFullStep:
             IntervalState(0.9, 0.9, UNIFORM)
         with pytest.raises(DomainError):
             IntervalState(0.0, 0.4, UNIFORM)
+
+    def test_recursion_cross_check_survives_optimize(self):
+        # A radius of 1.5 that escaped validation: at x = 1/2 the geometric
+        # step gives radius 1 while the recursion gives 1.25.
+        code = textwrap.dedent(
+            """
+            import sys
+            from diminish.distributions import DfForm
+            from diminish.errors import StateCorruptionError
+            from diminish.interval import IntervalState, apply_full_step
+
+            s = object.__new__(IntervalState)
+            for key, value in (("center", 0.0), ("radius", 1.5), ("law", DfForm(0.5, 1.0))):
+                object.__setattr__(s, key, value)
+            try:
+                apply_full_step(s, 0.5)
+            except StateCorruptionError:
+                sys.exit(0 if sys.flags.optimize else 3)
+            sys.exit(1)
+            """
+        )
+        src = str(Path(diminish.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestThinnedStep:
@@ -156,26 +187,13 @@ class TestRepresentationConsistency:
 
 
 class TestRunScaled:
-    def test_scaling_arithmetic(self):
-        run = run_scaled(interval_new(DfForm(0.3, 2.0)), 100, RngStream(12, 0))
-        assert run.scaled == pytest.approx(4.0 * 100**0.5 * (run.radius - 0.5), rel=1e-12)
-        assert run.bias_bound == pytest.approx(run.radius - 0.5)
-        assert run.n == 100
-
     def test_batch_rows_replay_scalar_trajectories(self):
         law = DfForm(0.3, 2.0)
         radii, centers = run_full_batch(law, 400, 6, seed=13, chunk=4)
         for r in range(6):
-            run = run_scaled(interval_new(law), 400, RngStream(13, r))
-            assert run.radius == pytest.approx(radii[r], abs=1e-13)
-            assert run.center == pytest.approx(centers[r], abs=1e-13)
-
-    def test_stepwise_equals_run_scaled(self):
-        law = DfForm(0.5, 1.0)
-        s = interval_new(law)
-        rng = RngStream(14, 0)
-        for _ in range(200):
-            s = step_full(s, rng)
-        run = run_scaled(interval_new(law), 200, RngStream(14, 0))
-        assert run.radius == pytest.approx(s.radius, abs=1e-15)
-        assert run.center == pytest.approx(s.center, abs=1e-15)
+            s = interval_new(law)
+            rng = RngStream(13, r)
+            for _ in range(400):
+                s = step_full(s, rng)
+            assert s.radius == radii[r]
+            assert s.center == centers[r]

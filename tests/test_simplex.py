@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from diminish.distributions import RngStream
 from diminish.errors import DomainError, StateCorruptionError
 from diminish.simplex import (
+    SimplexState,
     SimplexThinned,
     apply_simplex_point,
     apply_simplex_thinned,
     change_probability,
     from_barycentric,
     heights_after_changes,
+    offsets_after_point,
     run_simplex_batch,
     run_thinned_batch,
     simplex_full_step,
@@ -71,14 +73,37 @@ class TestFullStep:
             s = nxt
 
     def test_batch_rows_replay_scalar(self):
-        heights, centers = run_simplex_batch(3, 200, 4, seed=32, chunk=3)
-        for r in range(4):
-            rng = RngStream(32, r)
-            s = simplex_new(3)
-            for _ in range(200):
-                s = simplex_full_step(s, rng)
-            assert heights[r] == pytest.approx(s.height, abs=1e-11)
-            assert np.allclose(centers[r], s.center, atol=1e-11)
+        for d in (1, 2, 3, 5):
+            heights, centers = run_simplex_batch(d, 200, 4, seed=32, chunk=3)
+            for r in range(4):
+                rng = RngStream(32, r)
+                s = simplex_new(d)
+                for _ in range(200):
+                    s = simplex_full_step(s, rng)
+                assert heights[r] == s.height
+                # the center read-out goes through BLAS at different shapes
+                assert np.allclose(centers[r], s.center, atol=1e-15, rtol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 5]),
+        parts=st.lists(st.floats(1e-3, 1.0), min_size=6, max_size=6),
+        weights=st.lists(st.floats(1e-6, 1.0), min_size=6, max_size=6),
+        height=st.floats(1.0, 2.0),
+        mix=st.floats(0.0, 1.0),
+    )
+    def test_closed_form_matches_point_intersection(self, d, parts, weights, height, mix):
+        rho = 1.0 / d
+        beta = np.array(parts[: d + 1])
+        s = SimplexState(d, height * rho * beta / beta.sum())
+        w = np.array(weights[: d + 1])
+        centroid = np.full(d + 1, 1.0 / (d + 1))
+        for lam in (w / w.sum(), mix * w / w.sum() + (1.0 - mix) * centroid, centroid):
+            new = offsets_after_point(s.offsets[None], lam[None], rho)[0]
+            ref = apply_simplex_point(s, lam @ s.vertices()).offsets
+            assert np.abs(new - ref).max() <= 1e-15
+            if np.all(s.height * lam <= rho):
+                assert np.array_equal(new, s.offsets)
 
 
 class TestThinnedChain:
