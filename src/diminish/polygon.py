@@ -18,10 +18,15 @@ opposite-side slab width, initially ``2 rho_k``.  Change-region membership
 is read off the offsets: side i can move only for points with
 ``<p, q_i> >= o_i + rho_k``.
 
-Vertices are computed from consecutive support-line intersections; a state
-whose candidate cycle fails feasibility (a degenerate k-gon, possible for
-k >= 6) falls back to half-plane clipping of ``K``.  Point sampling uses an
-area-weighted triangle fan and consumes exactly three uniforms per step.
+One kernel, :func:`_cycles`, computes the geometry of a block of offset
+columns (the batch engine's replicas; a scalar state is one column): the
+candidate cycle of consecutive side-line intersections, its supports, heights
+and fan areas.  A column whose cycle fails feasibility (a redundant side,
+possible for k >= 6) is rebuilt from its true supports, found by clipping
+``K`` against the k half-planes; with every side line supporting, the cycle
+is valid and repeats a vertex at each redundant side.  The stored offsets
+stay raw.  Points are drawn by one area-weighted fan sampler, three uniforms
+per step, so scalar and batch trajectories agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,24 +98,22 @@ def reference_directions(k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_inverses(k: int) -> np.ndarray:
-    """Inverse of ``[[q_i], [q_{i+1}]]`` per i, for consecutive line intersections."""
-    dirs = reference_directions(k)
-    mats = np.stack([dirs, np.roll(dirs, -1, axis=0)], axis=1)
-    out = np.linalg.inv(mats)
-    out.setflags(write=False)
-    return out
-
-
-def _cross(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+def _fan(k: int):
+    """Kernel constants: directions, inverses of ``[[q_i], [q_{i+1}]]``, ``i + 1 mod k``."""
+    dirs = np.asarray(reference_directions(k))
+    inv = np.linalg.inv(np.stack([dirs, np.roll(dirs, -1, axis=0)], axis=1))
+    nxt = np.roll(np.arange(k), -1)
+    inv.setflags(write=False)
+    nxt.setflags(write=False)
+    return dirs, inv, nxt
 
 
 def shoelace_area(verts: np.ndarray) -> float:
     """Signed area of a vertex cycle (positive for CCW)."""
     if len(verts) < 3:
         return 0.0
-    return 0.5 * float(_cross(verts, np.roll(verts, -1, axis=0)).sum())
+    nxt = np.roll(verts, -1, axis=0)
+    return 0.5 * float((verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]).sum())
 
 
 def clip_halfplane(verts: np.ndarray, normal, offset: float) -> np.ndarray:
@@ -143,6 +147,7 @@ class PolygonState:
         if o.shape != (self.k,):
             raise DomainError("offsets must have k entries")
         object.__setattr__(self, "offsets", o)
+        object.__setattr__(self, "_cycle", None)
         object.__setattr__(self, "_snap", None)
 
     @property
@@ -158,11 +163,15 @@ class PolygonState:
 class PolygonSnapshot:
     """Derived geometry of one state.
 
-    ``boundary`` is the raw CCW vertex cycle; ``vertices`` are the labeled
-    extreme points ``A_i`` in direction ``q_i`` (meaningful for odd k, where
-    repeated entries mark degenerate sides).  ``region_areas[i]`` is the area
-    of the cap above ``o_i' + rho`` and ``reduced`` reports pairwise
-    disjointness of the positive caps, decided geometrically.
+    ``boundary`` is the CCW candidate cycle, always k entries: entry i is
+    where side lines i and i+1 meet, so a degenerate state (a redundant side)
+    repeats the vertex its redundant side lines pass through.  ``vertices``
+    are the labeled extreme points ``A_i`` in direction ``q_i`` (meaningful
+    for odd k).  ``region_areas[i]`` is the area of the cap above
+    ``o_i' + rho`` and ``reduced`` reports pairwise disjointness of the
+    positive caps, decided geometrically.  ``degenerate`` flags states whose
+    raw candidate cycle was infeasible and had to be rebuilt from the true
+    supports.
     """
 
     k: int
@@ -184,27 +193,102 @@ def polygon_new(k: int) -> PolygonState:
     return PolygonState(k, np.full(k, -math.cos(math.pi / k)))
 
 
-def _boundary_geometry(k: int, offsets: np.ndarray):
-    """Vertex cycle, per-direction supports and area of the offset polygon.
+class _Cycle(NamedTuple):
+    """Candidate cycles of a block of offset columns; replicas along axis 1."""
 
-    Fast path: consecutive-line candidates, valid when every candidate
-    satisfies all constraints.  Otherwise the reference polygon is clipped
-    against every constraint (any state is contained in ``K``).
-    Returns ``(boundary, sup_dots, area, fast_ok)``.
+    x: np.ndarray  # (k, C) candidate i: side lines i and i+1 meet
+    y: np.ndarray
+    slack: np.ndarray  # (C,) min over sides j, candidates i of <cand_i, q_j> - o_j
+    heights: np.ndarray  # (k, C) widths along the q_j
+    cum: np.ndarray  # (k - 2, C) cumulative fan-triangle areas from candidate 0
+    area: np.ndarray  # (C,)
+    tightened: np.ndarray | None  # (C,) columns rebuilt from their true supports
+
+
+def _cycle_kernel(o: np.ndarray) -> _Cycle:
+    """Candidate cycles of offset columns ``o`` (k, C), valid where ``slack >= -eps``."""
+    k, c = o.shape
+    dirs, inv, nxt = _fan(k)
+    o_next = o[nxt]
+    cand_x = inv[:, 0, 0, None] * o + inv[:, 0, 1, None] * o_next
+    cand_y = inv[:, 1, 0, None] * o + inv[:, 1, 1, None] * o_next
+    flat = np.empty((2, k * c))
+    flat[0] = cand_x.reshape(-1)
+    flat[1] = cand_y.reshape(-1)
+    dots = (dirs @ flat).reshape(k, k, c)  # (direction j, candidate i, replica)
+    mind = dots.min(axis=1)
+    slack = (mind - o).min(axis=0)
+    heights = dots.max(axis=1) - mind
+    rel_x = cand_x[1:] - cand_x[0]
+    rel_y = cand_y[1:] - cand_y[0]
+    # cumsum adds in index order at every width, so a column's area does not
+    # depend on how many columns share the call
+    cum = np.cumsum(0.5 * (rel_x[:-1] * rel_y[1:] - rel_y[:-1] * rel_x[1:]), axis=0)
+    return _Cycle(cand_x, cand_y, slack, heights, cum, cum[-1], None)
+
+
+def _true_supports(o: np.ndarray) -> np.ndarray:
+    """Offsets ``max(o_i, min <v, q_i>)`` over the polygon, found by clipping ``K``.
+
+    Every side line then touches the polygon, which makes its candidate
+    cycle valid.  This clip loop is the reference geometry for the states
+    the kernel cannot handle directly.
     """
+    k = len(o)
     dirs = reference_directions(k)
-    rhs = np.stack([offsets, np.roll(offsets, -1)], axis=1)
-    cand = np.einsum("kab,kb->ka", _pair_inverses(k), rhs)
-    dots = cand @ dirs.T
-    if float((dots - offsets[None, :]).min()) >= -_FEAS_EPS:
-        return cand, dots, 0.5 * float(_cross(cand, np.roll(cand, -1, axis=0)).sum()), True
     verts = np.asarray(reference_vertices(k))
     for i in range(k):
-        verts = clip_halfplane(verts, dirs[i], offsets[i])
+        verts = clip_halfplane(verts, dirs[i], o[i])
         if len(verts) == 0:
             raise StateCorruptionError("offset polygon is empty")
-    dots = verts @ dirs.T
-    return verts, dots, shoelace_area(verts), False
+    return np.maximum(o, (verts @ dirs.T).min(axis=0))
+
+
+def _cycles(o: np.ndarray) -> _Cycle:
+    """The one candidate-cycle geometry, for the batch engine and scalar states alike.
+
+    Columns whose raw cycle is infeasible are re-run on their true supports
+    and scattered back; ``tightened`` marks them (``None`` when there are none).
+    """
+    g = _cycle_kernel(o)
+    bad = g.slack < -_FEAS_EPS
+    if not bad.any():
+        return g
+    cols = np.flatnonzero(bad)
+    fix = _cycle_kernel(np.column_stack([_true_supports(o[:, i]) for i in cols]))
+    if (fix.slack < -_FEAS_EPS).any():
+        raise StateCorruptionError("candidate cycle infeasible on the true supports")
+    for whole, part in zip(g[:-1], fix[:-1]):
+        whole[..., cols] = part
+    return g._replace(tightened=bad)
+
+
+def _fan_points(g: _Cycle, u: np.ndarray):
+    """Uniform points ``(px, py)`` of the cycles from draws ``u`` (3, C).
+
+    ``u[0]`` picks a fan triangle from candidate 0 by area; ``u[1], u[2]``
+    are its barycentric weights, reflected when they sum past one.
+    """
+    k, c = g.x.shape
+    cols = np.arange(c)
+    idx = np.minimum((g.cum < u[0] * g.area).sum(axis=0), k - 3)
+    v0x, v0y = g.x[0], g.y[0]
+    bx, by = g.x[idx + 1, cols], g.y[idx + 1, cols]
+    cx, cy = g.x[idx + 2, cols], g.y[idx + 2, cols]
+    a2, a3 = u[1], u[2]
+    refl = a2 + a3 > 1.0
+    a2 = np.where(refl, 1.0 - a2, a2)
+    a3 = np.where(refl, 1.0 - a3, a3)
+    return v0x + a2 * (bx - v0x) + a3 * (cx - v0x), v0y + a2 * (by - v0y) + a3 * (cy - v0y)
+
+
+def _state_cycle(s: PolygonState) -> _Cycle:
+    """The state's geometry as a one-column block; computed once per state."""
+    g = getattr(s, "_cycle")
+    if g is None:
+        g = _cycles(s.offsets[:, None])
+        object.__setattr__(s, "_cycle", g)
+    return g
 
 
 def snapshot(s: PolygonState) -> PolygonSnapshot:
@@ -212,14 +296,15 @@ def snapshot(s: PolygonState) -> PolygonSnapshot:
     cached = getattr(s, "_snap")
     if cached is not None:
         return cached
-    boundary, dots, area, fast_ok = _boundary_geometry(s.k, s.offsets)
-    if len(boundary) < 3 or area <= 0.0:
+    g = _state_cycle(s)
+    area = float(g.area[0])
+    if area <= 0.0:
         raise StateCorruptionError("offset polygon degenerated to zero area")
-    alpha = dots.max(axis=0)
-    alpha_prime = dots.min(axis=0)
-    heights = alpha - alpha_prime
+    boundary = np.column_stack([g.x[:, 0], g.y[:, 0]])
+    heights = g.heights[:, 0]
+    dots = boundary @ s.directions.T
     labeled = boundary[np.argmax(dots, axis=0)]
-    levels = alpha_prime + s.rho
+    levels = dots.min(axis=0) + s.rho
     regions = [clip_halfplane(boundary, s.directions[i], levels[i]) for i in range(s.k)]
     region_areas = np.array([max(shoelace_area(r), 0.0) for r in regions])
     positive = [i for i in range(s.k) if region_areas[i] > _CLIP_EPS]
@@ -239,39 +324,26 @@ def snapshot(s: PolygonState) -> PolygonSnapshot:
         region_areas=region_areas,
         change_area=float(region_areas.sum()),
         reduced=reduced,
-        degenerate=not fast_ok,
+        degenerate=g.tightened is not None,
     )
     object.__setattr__(s, "_snap", snap)
     return snap
 
 
-def _sample_from_boundary(boundary: np.ndarray, area: float, u1: float, u2: float, u3: float):
-    """Uniform point from a CCW convex cycle: area-weighted fan, reflected barycentrics."""
-    if area <= 1e-12:
-        raise DomainError("cannot sample from a zero-area region")
-    v0 = boundary[0]
-    rel = boundary - v0
-    tri = 0.5 * _cross(rel[1:-1], rel[2:])
-    cum = np.cumsum(tri)
-    idx = int((cum < u1 * area).sum())
-    idx = min(idx, len(tri) - 1)
-    a, b = (u2, u3) if u2 + u3 <= 1.0 else (1.0 - u2, 1.0 - u3)
-    return v0 + a * (boundary[idx + 1] - v0) + b * (boundary[idx + 2] - v0)
-
-
 def sample_point(s: PolygonState, rng: RngStream) -> np.ndarray:
     """Uniform point in the current polygon (three uniforms per call)."""
-    snap = snapshot(s)
-    u1 = float(rng.uniform())
-    u2 = float(rng.uniform())
-    u3 = float(rng.uniform())
-    return _sample_from_boundary(snap.boundary, snap.area, u1, u2, u3)
+    g = _state_cycle(s)
+    if g.area[0] <= 1e-12:
+        raise DomainError("cannot sample from a zero-area region")
+    px, py = _fan_points(g, rng.uniform((3, 1)))
+    return np.array([px[0], py[0]])
 
 
 def apply_polygon_point(s: PolygonState, p) -> PolygonState:
-    """Intersect with ``p + K``: raise each offset to ``<p, q_i> - rho_k``."""
+    """Intersect with ``p + K``: raise each offset to ``<p, q_i> - rho_k`` (as the batch does)."""
     p = np.asarray(p, dtype=float)
-    return PolygonState(s.k, np.maximum(s.offsets, s.directions @ p - s.rho))
+    dirs = s.directions
+    return PolygonState(s.k, np.maximum(s.offsets, dirs[:, 0] * p[0] + dirs[:, 1] * p[1] - s.rho))
 
 
 def polygon_step(s: PolygonState, rng: RngStream) -> PolygonState:
@@ -379,43 +451,39 @@ def bound_constants(k: int) -> BoundConstants:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _triple_inverses(k: int):
+    """All side triples and the inverses of their ``[q_i q_j q_l | -1]`` systems.
+
+    Three distinct points of the unit circle are never collinear, so no
+    system is singular (the smallest |det| at k = 10 is 0.22).
+    """
+    triples = np.array(list(itertools.combinations(range(k), 3)))
+    dirs = np.asarray(reference_directions(k))
+    mats = np.concatenate([dirs[triples], -np.ones((len(triples), 3, 1))], axis=2)
+    inv = np.linalg.inv(mats)
+    triples.setflags(write=False)
+    inv.setflags(write=False)
+    return triples, inv
+
+
 def chebyshev_center(s: PolygonState) -> tuple[np.ndarray, float]:
     """Center and radius of the largest circle inside the constraint set.
 
-    Odd k has no parallel constraint pair, so the optimum is determined by a
-    triple of active constraints and is found by enumeration; even k falls
-    back to an LP solve.
+    The LP ``max r`` subject to ``<x, q_i> - r >= o_i`` attains its optimum
+    at a vertex where three constraints are active, so the center is the
+    largest feasible radius among the closed-form solutions of all C(k, 3)
+    triples; this holds for every k, parallel sides of even k included.
     """
-    dirs = np.asarray(s.directions)
-    o = s.offsets
-    if s.k % 2 == 1:
-        best_r = -math.inf
-        best_x = None
-        for tri in itertools.combinations(range(s.k), 3):
-            a = np.column_stack([dirs[list(tri)], -np.ones(3)])
-            if abs(np.linalg.det(a)) < 1e-12:
-                continue
-            x, y, r = np.linalg.solve(a, o[list(tri)])
-            if r < 0:
-                continue
-            if float((dirs @ (x, y) - o - r).min()) >= -_FEAS_EPS and r > best_r:
-                best_r = r
-                best_x = np.array([x, y])
-        if best_x is None:
-            raise StateCorruptionError("no feasible inscribed circle found")
-        return best_x, float(best_r)
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=np.column_stack([-dirs, np.ones(s.k)]),
-        b_ub=-o,
-        bounds=[(None, None)] * 3,
-        method="highs",
-    )
-    if not res.success:
-        raise StateCorruptionError(f"inscribed-circle LP failed: {res.message}")
-    return res.x[:2].copy(), float(res.x[2])
+    triples, inv = _triple_inverses(s.k)
+    sol = np.einsum("tab,tb->ta", inv, s.offsets[triples])  # rows (x, y, r)
+    r = sol[:, 2]
+    slack = sol[:, :2] @ np.asarray(s.directions).T - s.offsets - r[:, None]
+    feasible = (slack.min(axis=1) >= -_FEAS_EPS) & (r >= 0.0)
+    if not feasible.any():
+        raise StateCorruptionError("no feasible inscribed circle found")
+    best = int(np.argmax(np.where(feasible, r, -np.inf)))
+    return sol[best, :2].copy(), float(r[best])
 
 
 # ---------------------------------------------------------------------------
@@ -440,37 +508,11 @@ class PolygonBatchResult:
     fallback_steps: np.ndarray
 
 
-def _batch_geometry(k, o, dirs, inv):
-    """Candidate cycles and their supports for a block of offset columns.
-
-    ``o`` has shape (k, C), replicas along the contiguous axis.  Returns
-    ``(cand_x, cand_y, slack, heights, tri, area)``; all but ``slack`` are
-    only meaningful for columns with ``slack >= -eps`` (valid cycles).
-    """
-    c = o.shape[1]
-    o_next = o[_next_index(k)]
-    cand_x = inv[:, 0, 0, None] * o + inv[:, 0, 1, None] * o_next
-    cand_y = inv[:, 1, 0, None] * o + inv[:, 1, 1, None] * o_next
-    flat = np.empty((2, k * c))
-    flat[0] = cand_x.reshape(-1)
-    flat[1] = cand_y.reshape(-1)
-    dots = (dirs @ flat).reshape(k, k, c)  # (direction j, candidate i, replica)
-    maxd = dots.max(axis=1)
-    mind = dots.min(axis=1)
-    slack = (mind - o).min(axis=0)
-    heights = maxd - mind
-    rel_x = cand_x[1:] - cand_x[0]
-    rel_y = cand_y[1:] - cand_y[0]
-    tri = 0.5 * (rel_x[:-1] * rel_y[1:] - rel_y[:-1] * rel_x[1:])
-    area = tri.sum(axis=0)
-    return cand_x, cand_y, slack, heights, tri, area
-
-
-@functools.lru_cache(maxsize=None)
-def _next_index(k: int) -> np.ndarray:
-    out = np.roll(np.arange(k), -1)
-    out.setflags(write=False)
-    return out
+def _step_draws(blocks):
+    """Draws ``(3, C)`` of each step of a chunk in order, then ``None`` for its final state."""
+    for raw in blocks:
+        yield from raw.transpose(1, 2, 0).copy()
+    yield None
 
 
 def run_polygon_batch(
@@ -479,18 +521,19 @@ def run_polygon_batch(
     """Run independent polygon replicas, vectorized across replicas per step.
 
     Replica ``r`` consumes the uniforms of ``RngStream(seed, r)`` in
-    trajectory order (three per step), so every row replays the scalar
-    stepper.  Rows whose candidate cycle fails feasibility at some step
-    (degenerate k-gons, k >= 6) are advanced through the exact clipping path
-    for that step.
+    trajectory order (three per step), and every step goes through the same
+    geometry kernel and fan sampler as :func:`polygon_step`, so each row
+    replays the scalar trajectory bit for bit.  All n + 1 states of a row
+    feed the accumulators; ``fallback_steps`` counts the states whose
+    candidate cycle had to be rebuilt from true supports (degenerate k-gons,
+    k >= 6) and ``min_slack`` is taken over the cycles actually used.
     """
     if k < 5:
         raise DomainError(f"k must be >= 5, got {k}")
-    chunks = replica_blocks(seed, replicas, n, 3, chunk)
     dirs = np.asarray(reference_directions(k))
-    inv = np.asarray(_pair_inverses(k))
     rho = math.cos(math.pi / k)
     is_pentagon = k == 5
+    lam = GOLDEN_LAMBDA
 
     final_heights = np.empty((replicas, k))
     final_area = np.empty(replicas)
@@ -501,85 +544,33 @@ def run_polygon_batch(
     max_rise = np.full(replicas, -np.inf)
     fallback = np.zeros(replicas, dtype=int)
 
-    lam = GOLDEN_LAMBDA
-    for start, stop, blocks in chunks:
-        c = stop - start
-        o = np.full((k, c), -rho)
-        cols = np.arange(c)
-        a_min = np.full(c, np.inf)
-        a_max = np.full(c, -np.inf)
-        resid = np.zeros(c)
-        sl_min = np.full(c, np.inf)
-        rise = np.full(c, -np.inf)
+    for start, stop, blocks in replica_blocks(seed, replicas, n, 3, chunk):
+        o = np.full((k, stop - start), -rho)
+        # views: the accumulators update their rows of the result in place
+        sl_min, a_min, a_max, rise, falls = (
+            a[start:stop] for a in (min_slack, area_min, area_max, max_rise, fallback)
+        )
+        resid = max_residual[start:stop] if is_pentagon else None
         prev_heights = None
-        for raw in blocks:
-            u = raw.transpose(1, 2, 0).copy()  # (step, draw, replica)
-            for t in range(len(u)):
-                cand_x, cand_y, slack, heights, tri, area = _batch_geometry(k, o, dirs, inv)
-                bad = slack < -_FEAS_EPS
-                if bad.any():
-                    np.minimum(sl_min, np.where(bad, np.inf, slack), out=sl_min)
-                else:
-                    np.minimum(sl_min, slack, out=sl_min)
-                cum = np.cumsum(tri, axis=0)
-                idx = np.minimum((cum < u[t, 0] * area).sum(axis=0), k - 3)
-                v0x, v0y = cand_x[0], cand_y[0]
-                bx, by = cand_x[idx + 1, cols], cand_y[idx + 1, cols]
-                cx, cy = cand_x[idx + 2, cols], cand_y[idx + 2, cols]
-                a2, a3 = u[t, 1], u[t, 2]
-                refl = a2 + a3 > 1.0
-                a2 = np.where(refl, 1.0 - a2, a2)
-                a3 = np.where(refl, 1.0 - a3, a3)
-                px = v0x + a2 * (bx - v0x) + a3 * (cx - v0x)
-                py = v0y + a2 * (by - v0y) + a3 * (cy - v0y)
-                if bad.any():
-                    for i in np.nonzero(bad)[0]:
-                        boundary, dots_i, area_i, _ = _boundary_geometry(k, o[:, i].copy())
-                        q = _sample_from_boundary(
-                            boundary, area_i, u[t, 0, i], u[t, 1, i], u[t, 2, i]
-                        )
-                        px[i], py[i] = q
-                        heights[:, i] = dots_i.max(axis=0) - dots_i.min(axis=0)
-                        area[i] = area_i
-                        fallback[start + i] += 1
-                np.minimum(a_min, area, out=a_min)
-                np.maximum(a_max, area, out=a_max)
-                if is_pentagon:
-                    np.maximum(
-                        resid,
-                        np.abs(heights[1] + lam * heights[0] - heights[2] - lam * heights[3]),
-                        out=resid,
-                    )
-                if prev_heights is not None:
-                    np.maximum(rise, (heights - prev_heights).max(axis=0), out=rise)
-                prev_heights = heights
-                pd = dirs[:, 0, None] * px + dirs[:, 1, None] * py
-                np.maximum(o, pd - rho, out=o)
-        _, _, slack, heights, _, area = _batch_geometry(k, o, dirs, inv)
-        bad = slack < -_FEAS_EPS
-        np.minimum(sl_min, np.where(bad, np.inf, slack), out=sl_min)
-        if bad.any():
-            for i in np.nonzero(bad)[0]:
-                _, dots_i, area_i, _ = _boundary_geometry(k, o[:, i].copy())
-                heights[:, i] = dots_i.max(axis=0) - dots_i.min(axis=0)
-                area[i] = area_i
-                fallback[start + i] += 1
-        np.minimum(a_min, area, out=a_min)
-        np.maximum(a_max, area, out=a_max)
-        if is_pentagon:
-            np.maximum(
-                resid,
-                np.abs(heights[1] + lam * heights[0] - heights[2] - lam * heights[3]),
-                out=resid,
-            )
-            max_residual[start:stop] = resid
-        np.maximum(rise, (heights - prev_heights).max(axis=0), out=rise)
-        final_heights[start:stop] = heights.T
-        final_area[start:stop] = area
-        area_min[start:stop] = a_min
-        area_max[start:stop] = a_max
-        min_slack[start:stop] = sl_min
-        max_rise[start:stop] = rise
+        for u in _step_draws(blocks):
+            g = _cycles(o)
+            if g.tightened is not None:
+                falls += g.tightened
+            np.minimum(sl_min, g.slack, out=sl_min)
+            np.minimum(a_min, g.area, out=a_min)
+            np.maximum(a_max, g.area, out=a_max)
+            h = g.heights
+            if is_pentagon:
+                np.maximum(resid, np.abs(h[1] + lam * h[0] - h[2] - lam * h[3]), out=resid)
+            if prev_heights is not None:
+                np.maximum(rise, (h - prev_heights).max(axis=0), out=rise)
+            prev_heights = h
+            if u is None:
+                break
+            px, py = _fan_points(g, u)
+            np.maximum(o, dirs[:, 0, None] * px + dirs[:, 1, None] * py - rho, out=o)
+        final_heights[start:stop] = h.T
+        final_area[start:stop] = g.area
     if np.any(final_area <= 0.0):
         raise StateCorruptionError("a replica degenerated to nonpositive area")
     return PolygonBatchResult(

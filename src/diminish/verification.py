@@ -307,12 +307,27 @@ def check_geometry_oracle(seed=DEFAULT_SEED, steps=100, tol=1e-10) -> CheckResul
 # ---------------------------------------------------------------------------
 
 
-def _pentagon_big(seed, n, replicas):
+# Published sizes of the polygon batch runs; invariant-suite requests them
+# through the same memoized helpers, whatever ran before it.
+PENTAGON_N, PENTAGON_REPLICAS = 10_000, 10_000
+FIGURE_N, FIGURE_REPLICAS = 100, 200
+RATE_NS, RATE_REPLICAS = (100, 400, 1600), 500
+
+
+def _pentagon_big(seed, n=PENTAGON_N, replicas=PENTAGON_REPLICAS):
     return _experiment(process="polygon", k=5, n=n, replicas=replicas, seed=seed + 25)
 
 
+def _figure_run(seed, k, n=FIGURE_N, replicas=FIGURE_REPLICAS):
+    return _experiment(process="polygon", k=k, n=n, replicas=replicas, seed=seed + 30 + k)
+
+
+def _rate_run(seed, k, n, replicas=RATE_REPLICAS):
+    return _experiment(process="polygon", k=k, n=n, replicas=replicas, seed=seed + 40 + k)
+
+
 def check_pentagon_structure(
-    seed=DEFAULT_SEED, n=10_000, replicas=1000, big_replicas=10_000
+    seed=DEFAULT_SEED, n=PENTAGON_N, replicas=1000, big_replicas=PENTAGON_REPLICAS
 ) -> CheckResult:
     res = _pentagon_big(seed, n, max(replicas, big_replicas))
     batch = res.extras["batch"]
@@ -369,7 +384,9 @@ def check_pentagon_structure(
 # ---------------------------------------------------------------------------
 
 
-def check_pentagon_envelope(seed=DEFAULT_SEED, n=10_000, replicas=10_000) -> CheckResult:
+def check_pentagon_envelope(
+    seed=DEFAULT_SEED, n=PENTAGON_N, replicas=PENTAGON_REPLICAS
+) -> CheckResult:
     res = _pentagon_big(seed, n, replicas)
     batch = res.extras["batch"]
     rho = pentagon_constants().rho5
@@ -435,7 +452,7 @@ def check_pentagon_envelope(seed=DEFAULT_SEED, n=10_000, replicas=10_000) -> Che
 # ---------------------------------------------------------------------------
 
 
-def check_figure_ranges(seed=DEFAULT_SEED, n=100, replicas=200) -> CheckResult:
+def check_figure_ranges(seed=DEFAULT_SEED, n=FIGURE_N, replicas=FIGURE_REPLICAS) -> CheckResult:
     lines = []
     stats = {}
     passed = True
@@ -444,8 +461,7 @@ def check_figure_ranges(seed=DEFAULT_SEED, n=100, replicas=200) -> CheckResult:
         (8, 1.0, (0.236, 5.381), (0.05, 11.0)),
     ]
     for k, expo, observed, envelope in specs:
-        res = _experiment(process="polygon", k=k, n=n, replicas=replicas, seed=seed + 30 + k)
-        values = res.values()
+        values = _figure_run(seed, k, n, replicas).values()
         lo, hi = float(values.min()), float(values.max())
         overlaps = lo <= observed[1] and hi >= observed[0]
         inside = envelope[0] <= lo and hi <= envelope[1]
@@ -463,19 +479,13 @@ def check_figure_ranges(seed=DEFAULT_SEED, n=100, replicas=200) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_rate_discrimination(seed=DEFAULT_SEED, replicas=500) -> CheckResult:
+def check_rate_discrimination(seed=DEFAULT_SEED, replicas=RATE_REPLICAS) -> CheckResult:
     lines = []
     stats = {}
-    ns = (100, 400, 1600)
+    ns = RATE_NS
     meds = {}
     for k in (7, 8):
-        raw = []
-        for n in ns:
-            res = _experiment(
-                process="polygon", k=k, n=n, replicas=replicas, seed=seed + 40 + k
-            )
-            raw.append(res.extras["excess"])
-        meds[k] = [float(np.median(r)) for r in raw]
+        meds[k] = [float(np.median(_rate_run(seed, k, n, replicas).extras["excess"])) for n in ns]
         scale = 0.5 if k % 2 == 1 else 1.0
         scaled_meds = [n**scale * m for n, m in zip(ns, meds[k])]
         ratio = max(scaled_meds) / min(scaled_meds)
@@ -616,22 +626,20 @@ def check_invariants(seed=DEFAULT_SEED) -> CheckResult:
             f"(<= {1e-12 * (d + 2):.0e}), min weight = {min_w:.2e} (>= -1e-12)"
         )
 
-    batch_keys = [
-        key
-        for key in _CACHE
-        if isinstance(key, tuple) and key and key[0] == "polygon"
-    ]
-    for key in batch_keys:
-        batch = _CACHE[key].extras["batch"]
+    runs = [_pentagon_big(seed)] + [_figure_run(seed, k) for k in (7, 8)]
+    runs += [_rate_run(seed, k, n) for k in (7, 8) for n in RATE_NS]
+    for res in runs:
+        batch = res.extras["batch"]
         a_min, a_max = float(batch.area_min.min()), float(batch.area_max.max())
         rise = float(batch.max_height_rise.max())
         ok = a_min >= math.pi / 100.0 - 1e-9 and a_max <= math.pi + 1e-9 and rise <= 1e-9
         passed &= ok
         lines.append(
-            f"batch k={key[7]} n={key[1]} N={key[2]}: areas in [{_fmt(a_min)}, {_fmt(a_max)}] "
+            f"batch k={res.config.k} n={res.config.n} N={res.config.replicas}: "
+            f"areas in [{_fmt(a_min)}, {_fmt(a_max)}] "
             f"(within [pi/100, pi]), max height rise = {rise:.2e} (<= 1e-9)"
         )
-    stats["batch_runs_checked"] = len(batch_keys)
+    stats["batch_runs_checked"] = len(runs)
     return CheckResult("invariant-suite", bool(passed), lines, stats)
 
 

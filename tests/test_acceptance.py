@@ -4,8 +4,9 @@ Each test prints the raw statistics of its criterion (run with ``-s`` to see
 them inline; the ``diminish verify`` command prints the same report).  Three
 sub-criteria are strict expected failures: the simulations themselves show
 the published tolerances cannot be met at the published sample sizes (see
-the notes in :mod:`diminish.verification`); they still run at full strength
-and would flip the suite red if they ever started passing silently.
+DECISIONS.md and the notes in :mod:`diminish.verification`); they still run
+at full strength and would flip the suite red if they ever started passing
+silently.
 """
 
 import pytest
@@ -61,7 +62,7 @@ class TestCriterion04Simplex:
         strict=True,
         reason="d=3 rate converges like n^(-1/3); the bare height recursion itself "
         "shows a ~0.05 KS gap at n=10^4, so KS<=0.03 is unreachable at the "
-        "published n (see decisions ledger)",
+        "published n (see DECISIONS.md)",
     )
     def test_d3_rate_tolerance(self):
         res = V.check_simplex()
@@ -89,7 +90,7 @@ class TestCriterion06PentagonStructure:
         strict=True,
         reason="shrink events accrue like log n; the single-survivor fraction grows "
         "~20 points per decade (measured 5%/24%/44% at n=10^3/10^4/10^5), so 99% "
-        "at n=10^4 is unreachable (see decisions ledger)",
+        "at n=10^4 is unreachable (see DECISIONS.md)",
     )
     def test_single_survivor_classification(self):
         res = V.check_pentagon_structure()
@@ -101,7 +102,7 @@ class TestCriterion07PentagonEnvelope:
         strict=True,
         reason="finite-n survival exceeds the tight same-run upper bound at "
         "x in {0.2, 0.5} by ~0.02-0.05; the coarse analytic bounds do hold "
-        "(see decisions ledger)",
+        "(see DECISIONS.md)",
     )
     def test_envelope_with_estimated_area_range(self):
         res = _report(V.check_pentagon_envelope())

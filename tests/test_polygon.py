@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diminish.distributions import RngStream
 from diminish.errors import DomainError
@@ -21,6 +23,7 @@ from diminish.polygon import (
     reference_vertices,
     run_polygon_batch,
     sample_point,
+    shoelace_area,
     snapshot,
 )
 
@@ -32,6 +35,30 @@ def reduced_regular_pentagon(excess: float) -> PolygonState:
     """Homothet of the reference pentagon whose five heights are rho + excess."""
     scale = (RHO5 + excess) / (1.0 + RHO5)
     return PolygonState(5, np.full(5, -scale * RHO5))
+
+
+def assert_rows_replay(k: int, n: int, replicas: int, seed: int, chunk: int):
+    res = run_polygon_batch(k, n, replicas, seed=seed, chunk=chunk)
+    for r in range(replicas):
+        rng = RngStream(seed, r)
+        s = polygon_new(k)
+        for _ in range(n):
+            s = polygon_step(s, rng)
+        snap = snapshot(s)
+        assert np.array_equal(snap.heights, res.final_heights[r]), (k, r)
+        assert snap.area == res.final_area[r], (k, r)
+    return res
+
+
+def octagon_with_redundant_side():
+    """K cut by translates along q_0 and q_2: side line 1 misses the polygon."""
+    q = np.asarray(reference_directions(8))
+    base = np.asarray(reference_vertices(8))
+    s, oracle = polygon_new(8), base.copy()
+    for p in (0.7 * q[0], 0.7 * q[2]):
+        s = apply_polygon_point(s, p)
+        oracle = clip_convex_by_convex(oracle, base + p)
+    return s, oracle
 
 
 class TestConstruction:
@@ -138,16 +165,48 @@ class TestStep:
             assert match_point_sets(snap.boundary, overts) <= 1e-10
 
     def test_batch_rows_replay_scalar(self):
-        for k in (5, 8):
-            res = run_polygon_batch(k, 150, 3, seed=44, chunk=2)
-            for r in range(3):
-                rng = RngStream(44, r)
-                s = polygon_new(k)
-                for _ in range(150):
-                    s = polygon_step(s, rng)
-                snap = snapshot(s)
-                assert np.allclose(snap.heights, res.final_heights[r], atol=1e-11)
-                assert snap.area == pytest.approx(res.final_area[r], abs=1e-11)
+        fallback_rows = {}
+        for k in (5, 7, 8, 9):
+            res = assert_rows_replay(k, 300, 12, seed=40, chunk=5)
+            fallback_rows[k] = int((res.fallback_steps > 0).sum())
+        assert fallback_rows[5] == 0
+        # rows through the degenerate path replay too
+        assert all(fallback_rows[k] > 0 for k in (7, 8, 9)), fallback_rows
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        k=st.integers(6, 9),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 150),
+        replicas=st.integers(1, 5),
+        chunk=st.integers(1, 4),
+    )
+    def test_batch_rows_replay_scalar_property(self, k, seed, n, replicas, chunk):
+        assert_rows_replay(k, n, replicas, seed, chunk)
+
+
+class TestDegenerate:
+    def test_redundant_side_matches_clipping_oracle(self):
+        s, oracle = octagon_with_redundant_side()
+        snap = snapshot(s)
+        assert snap.degenerate
+        assert len(snap.boundary) == 8 and len(oracle) == 7
+        assert match_point_sets(snap.boundary, oracle) <= 1e-12
+        dots = oracle @ np.asarray(s.directions).T
+        assert np.allclose(snap.heights, dots.max(0) - dots.min(0), rtol=0, atol=1e-12)
+        assert snap.area == pytest.approx(shoelace_area(oracle), abs=1e-12)
+
+    def test_redundant_side_keeps_raw_offsets_and_samples_inside(self):
+        s, _ = octagon_with_redundant_side()
+        raw = s.offsets.copy()
+        rng = RngStream(50, 0)
+        pts = np.array([sample_point(s, rng) for _ in range(2000)])
+        assert np.array_equal(s.offsets, raw)
+        assert np.all(pts @ np.asarray(s.directions).T >= s.offsets - 1e-12)
+
+    def test_regular_start_is_not_degenerate(self):
+        for k in (5, 6, 7, 8, 9):
+            assert not snapshot(polygon_new(k)).degenerate
 
 
 class TestSamplePoint:
@@ -189,10 +248,10 @@ class TestSamplePoint:
         assert np.all(np.abs(freq - weights) <= 3.5 * sigma)
 
     def test_zero_area_rejected(self):
-        from diminish.polygon import _sample_from_boundary
-
+        # all offsets zero: the polygon is the single point at the origin
+        point = PolygonState(5, np.zeros(5))
         with pytest.raises(DomainError):
-            _sample_from_boundary(np.zeros((3, 2)), 0.0, 0.5, 0.5, 0.5)
+            sample_point(point, RngStream(45, 0))
 
 
 class TestPentagonAnalytics:
@@ -250,20 +309,22 @@ class TestChebyshev:
     def test_triple_enumeration_matches_lp(self):
         from scipy.optimize import linprog
 
-        rng = RngStream(48, 0)
-        s = polygon_new(5)
-        for step in range(25):
-            s = polygon_step(s, rng)
-            _, radius = chebyshev_center(s)
+        for k in (5, 6, 7, 8, 9):
+            rng = RngStream(48, 0, (k,))
+            s = polygon_new(k)
             dirs = np.asarray(s.directions)
-            res = linprog(
-                c=[0.0, 0.0, -1.0],
-                A_ub=np.column_stack([-dirs, np.ones(5)]),
-                b_ub=-s.offsets,
-                bounds=[(None, None)] * 3,
-                method="highs",
-            )
-            assert radius == pytest.approx(res.x[2], abs=1e-9)
+            for step in range(40):
+                s = polygon_step(s, rng)
+                center, radius = chebyshev_center(s)
+                res = linprog(
+                    c=[0.0, 0.0, -1.0],
+                    A_ub=np.column_stack([-dirs, np.ones(k)]),
+                    b_ub=-s.offsets,
+                    bounds=[(None, None)] * 3,
+                    method="highs",
+                )
+                assert radius == pytest.approx(res.x[2], abs=1e-9), (k, step)
+                assert (dirs @ center - s.offsets - radius).min() >= -1e-9, (k, step)
 
 
 class TestBatchAccumulators:
