@@ -156,22 +156,13 @@ def _trajectory_rows(cfg: RunConfig):
             state = simplex_full_step(state, rng)
             rows.append([t, state.height] + [float(c) for c in state.center])
     else:
-        header = ["step", "max_height", "area", "reduced"] + [
-            f"height_{i + 1}" for i in range(cfg.k)
-        ]
-        state = polygon_new(cfg.k)
-        snap = snapshot(state)
-        rows = [
-            [0, snap.max_height, snap.area, int(snap.reduced)]
-            + [float(h) for h in snap.heights]
-        ]
-        for t in range(1, cfg.n + 1):
-            state = polygon_step(state, rng)
+        header = ["step", "max_height", "area", "reduced"]
+        header += [f"height_{i + 1}" for i in range(cfg.k)]
+        state, rows = polygon_new(cfg.k), []
+        for t in range(cfg.n + 1):
+            state = polygon_step(state, rng) if t else state
             snap = snapshot(state)
-            rows.append(
-                [t, snap.max_height, snap.area, int(snap.reduced)]
-                + [float(h) for h in snap.heights]
-            )
+            rows.append([t, snap.max_height, snap.area, int(snap.reduced), *snap.heights.tolist()])
     return header, rows
 
 
@@ -197,10 +188,7 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 
 def _config_from_args(args, default_replicas=None) -> RunConfig:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("process", "n", "replicas", "seed", "c", "delta", "d", "k", "out")
-    }
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     if overrides.get("replicas") is None and default_replicas is not None:
         overrides["replicas"] = default_replicas
     return parse_config(args.config, overrides)
@@ -232,15 +220,16 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = args.check or None
-    results = verification.run_suite(names, seed=args.seed)
+    results = verification.run_suite(names, _default_seed() if args.seed is None else args.seed)
     for res in results:
         print(res.report())
     if args.json:
         payload = {
-            res.name: {"passed": res.passed, "statistics": res.lines} for res in results
+            r.name: {"passed": r.passed, "statistics": r.lines, "stats": r.stats, "note": r.note}
+            for r in results
         }
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, default=lambda v: v.item())  # numpy scalars
         print(f"wrote JSON summary to {args.json}")
     failed = [res.name for res in results if not res.passed]
     if failed:
@@ -257,10 +246,7 @@ _FIGURES = {
 
 
 def _cmd_figure(args) -> int:
-    spec = dict(_FIGURES[args.which])
-    spec["seed"] = args.seed
-    cfg = parse_config(spec)
-    result = run_experiment(cfg)
+    result = run_experiment(parse_config(_FIGURES[args.which], {"seed": args.seed}))
     dest = args.out or f"{args.which}.csv"
     count = emit_csv(
         ([s.replica, s.value] for s in result.samples), dest, ["replica", "value"]
@@ -306,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed") and args.seed is None:
-        args.seed = _default_seed()
     try:
         return args.func(args)
     except DiminishError as exc:

@@ -2,7 +2,8 @@
 
 The polygon clipper intersects an explicit vertex cycle with a translate by
 Sutherland-Hodgman clipping against the translate's own edges; it never
-touches support offsets or the ``rho_k`` shortcut.  The simplex oracle hands
+touches support offsets or the ``rho_k`` shortcut.  ``shoelace_area`` is the
+reference area of its vertex cycles.  The simplex oracle hands
 the accumulated facet half-spaces (facet planes fitted to translate vertices
 by least squares) to Qhull and reads the intersection vertices back.  Both
 exist to cross-check the process engines.
@@ -17,6 +18,7 @@ from .simplex import vertex_matrix
 
 __all__ = [
     "clip_convex_by_convex",
+    "shoelace_area",
     "simplex_intersection_oracle",
     "match_point_sets",
 ]
@@ -51,6 +53,12 @@ def clip_convex_by_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarra
         if len(out) == 0:
             return out
     return out
+
+
+def shoelace_area(verts: np.ndarray) -> float:
+    """Signed area of a vertex cycle (positive for CCW; zero below three vertices)."""
+    nxt = np.roll(verts, -1, axis=0)
+    return 0.5 * float((verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]).sum())
 
 
 def _facet_halfspaces(vertices: np.ndarray) -> np.ndarray:

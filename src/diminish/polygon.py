@@ -22,11 +22,11 @@ One kernel, :func:`_cycles`, computes the geometry of a block of offset
 columns (the batch engine's replicas; a scalar state is one column): the
 candidate cycle of consecutive side-line intersections, its supports, heights
 and fan areas.  A column whose cycle fails feasibility (a redundant side,
-possible for k >= 6) is rebuilt from its true supports, found by clipping
-``K`` against the k half-planes; with every side line supporting, the cycle
-is valid and repeats a vertex at each redundant side.  The stored offsets
-stay raw.  Points are drawn by one area-weighted fan sampler, three uniforms
-per step, so scalar and batch trajectories agree bit for bit.
+possible for k >= 6) is rebuilt from its true supports, read off the feasible
+side-pair vertices; the cycle then repeats a vertex at each redundant side.
+The stored offsets stay raw.  One area-weighted fan sampler draws the points,
+three uniforms per step, so scalar and batch trajectories agree bit for bit.
+Cap areas and reducedness are closed forms on the cycle; nothing here clips.
 """
 
 from __future__ import annotations
@@ -59,14 +59,12 @@ __all__ = [
     "chebyshev_center",
     "reference_directions",
     "reference_vertices",
-    "clip_halfplane",
-    "shoelace_area",
     "run_polygon_batch",
     "PolygonBatchResult",
 ]
 
 _FEAS_EPS = 1e-9
-_CLIP_EPS = 1e-12
+_EPS = 1e-12  # side-pair vertex feasibility; positive cap and overlap areas
 
 GOLDEN_C = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_LAMBDA = (math.sqrt(5.0) + 1.0) / 2.0
@@ -108,29 +106,14 @@ def _fan(k: int):
     return dirs, inv, nxt
 
 
-def shoelace_area(verts: np.ndarray) -> float:
-    """Signed area of a vertex cycle (positive for CCW)."""
-    if len(verts) < 3:
-        return 0.0
-    nxt = np.roll(verts, -1, axis=0)
-    return 0.5 * float((verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]).sum())
-
-
-def clip_halfplane(verts: np.ndarray, normal, offset: float) -> np.ndarray:
-    """Keep the part of a convex cycle with ``<x, normal> >= offset``."""
-    n = len(verts)
-    if n == 0:
-        return verts
-    d = verts @ np.asarray(normal, dtype=float) - offset
-    pts = []
-    for i in range(n):
-        j = (i + 1) % n
-        if d[i] >= -_CLIP_EPS:
-            pts.append(verts[i])
-        if (d[i] > _CLIP_EPS and d[j] < -_CLIP_EPS) or (d[i] < -_CLIP_EPS and d[j] > _CLIP_EPS):
-            t = d[i] / (d[i] - d[j])
-            pts.append(verts[i] + t * (verts[j] - verts[i]))
-    return np.array(pts) if pts else np.empty((0, 2))
+@functools.lru_cache(maxsize=None)
+def _pair_inverses(k: int):
+    """Side pairs ``(i, j)`` whose lines meet, with the inverses of ``[[q_i], [q_j]]``."""
+    pairs = np.array([p for p in itertools.combinations(range(k), 2) if 2 * (p[1] - p[0]) != k])
+    inv = np.linalg.inv(np.asarray(reference_directions(k))[pairs])
+    pairs.setflags(write=False)
+    inv.setflags(write=False)
+    return pairs, inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,20 +211,22 @@ def _cycle_kernel(o: np.ndarray) -> _Cycle:
 
 
 def _true_supports(o: np.ndarray) -> np.ndarray:
-    """Offsets ``max(o_i, min <v, q_i>)`` over the polygon, found by clipping ``K``.
+    """Offsets ``max(o_i, min <v, q_i>)`` of columns ``o`` (k, C), v the polygon's vertices.
 
-    Every side line then touches the polygon, which makes its candidate
-    cycle valid.  This clip loop is the reference geometry for the states
-    the kernel cannot handle directly.
+    The vertices are the feasible side-pair vertices (antiparallel sides of
+    even k never meet).  Every side line then touches the polygon, which
+    makes its candidate cycle valid.  The arithmetic is elementwise, so a
+    column's result does not depend on the block width.
     """
     k = len(o)
-    dirs = reference_directions(k)
-    verts = np.asarray(reference_vertices(k))
-    for i in range(k):
-        verts = clip_halfplane(verts, dirs[i], o[i])
-        if len(verts) == 0:
-            raise StateCorruptionError("offset polygon is empty")
-    return np.maximum(o, (verts @ dirs.T).min(axis=0))
+    dirs = np.asarray(reference_directions(k))
+    pairs, inv = _pair_inverses(k)
+    v = inv[:, :, :1] * o[pairs[:, 0], None] + inv[:, :, 1:] * o[pairs[:, 1], None]  # (P, 2, C)
+    dots = dirs[:, 0, None, None] * v[:, 0] + dirs[:, 1, None, None] * v[:, 1]  # (side, pair, C)
+    feasible = (dots - o[:, None, :]).min(axis=0) >= -_EPS
+    if not feasible.any(axis=0).all():
+        raise StateCorruptionError("offset polygon is empty")
+    return np.maximum(o, np.where(feasible, dots, np.inf).min(axis=1))
 
 
 def _cycles(o: np.ndarray) -> _Cycle:
@@ -254,12 +239,11 @@ def _cycles(o: np.ndarray) -> _Cycle:
     bad = g.slack < -_FEAS_EPS
     if not bad.any():
         return g
-    cols = np.flatnonzero(bad)
-    fix = _cycle_kernel(np.column_stack([_true_supports(o[:, i]) for i in cols]))
+    fix = _cycle_kernel(_true_supports(o[:, bad]))
     if (fix.slack < -_FEAS_EPS).any():
         raise StateCorruptionError("candidate cycle infeasible on the true supports")
     for whole, part in zip(g[:-1], fix[:-1]):
-        whole[..., cols] = part
+        whole[..., bad] = part
     return g._replace(tightened=bad)
 
 
@@ -291,6 +275,38 @@ def _state_cycle(s: PolygonState) -> _Cycle:
     return g
 
 
+def _cap_geometry(b: np.ndarray, d: np.ndarray, levels: np.ndarray):
+    """Cap areas and reducedness of the boundary cycle ``b`` (k, 2), in closed form.
+
+    ``d[j, i]`` is the height of ``b_j`` above cap i's cut line ``<x, q_i> =
+    levels_i``, so edge j (``b_j`` to ``b_{j+1}``) lies in cap i for ``t`` in
+    ``[t0, t1]``.  With the origin at a point ``z`` on every chord of a region,
+    the chords add nothing to the shoelace sum and the area is ``1/2 sum_j
+    (t1 - t0) cross(b_j - z, e_j)``: ``z = levels_i q_i`` for cap i, the cut
+    lines' crossing for the overlap of caps i and j.  Antiparallel caps never
+    overlap, since a width never exceeds its starting value ``2 rho``.
+    """
+    nxt = _fan(len(b))[2]
+    e = b[nxt] - b
+    bxe = b[:, 0] * e[:, 1] - b[:, 1] * e[:, 0]
+
+    def area(t0, t1, z):
+        zxe = z[:, 0] * e[:, 1, None] - z[:, 1] * e[:, 0, None]
+        return 0.5 * (np.maximum(t1 - t0, 0.0) * (bxe[:, None] - zxe)).sum(axis=0)
+
+    d_next = d[nxt]
+    inside, inside_next = d >= 0.0, d_next >= 0.0
+    t = np.divide(d, d - d_next, out=np.zeros_like(d), where=inside != inside_next)
+    t0, t1 = np.where(inside, 0.0, t), np.where(inside_next, 1.0, t)
+    areas = np.maximum(area(t0, t1, levels[:, None] * reference_directions(len(b))), 0.0)
+    pairs, inv = _pair_inverses(len(b))
+    i, j = pairs.T
+    crossing = np.einsum("pab,pb->pa", inv, levels[pairs])
+    overlap = area(np.maximum(t0[:, i], t0[:, j]), np.minimum(t1[:, i], t1[:, j]), crossing)
+    positive = areas > _EPS
+    return areas, not (positive[i] & positive[j] & (overlap > _EPS)).any()
+
+
 def snapshot(s: PolygonState) -> PolygonSnapshot:
     """Full derived geometry; computed once per state and cached."""
     cached = getattr(s, "_snap")
@@ -305,15 +321,7 @@ def snapshot(s: PolygonState) -> PolygonSnapshot:
     dots = boundary @ s.directions.T
     labeled = boundary[np.argmax(dots, axis=0)]
     levels = dots.min(axis=0) + s.rho
-    regions = [clip_halfplane(boundary, s.directions[i], levels[i]) for i in range(s.k)]
-    region_areas = np.array([max(shoelace_area(r), 0.0) for r in regions])
-    positive = [i for i in range(s.k) if region_areas[i] > _CLIP_EPS]
-    reduced = True
-    for a, b in itertools.combinations(positive, 2):
-        overlap = clip_halfplane(regions[a], s.directions[b], levels[b])
-        if shoelace_area(overlap) > 1e-12:
-            reduced = False
-            break
+    region_areas, reduced = _cap_geometry(boundary, dots - levels, levels)
     snap = PolygonSnapshot(
         k=s.k,
         boundary=boundary,

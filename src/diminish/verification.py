@@ -41,7 +41,8 @@ from .distributions import (
 )
 from .errors import ConfigurationError
 from .interval import center_series_batch, interval_new, step_full
-from .oracle import clip_convex_by_convex, match_point_sets, simplex_intersection_oracle
+from .oracle import clip_convex_by_convex, match_point_sets, shoelace_area
+from .oracle import simplex_intersection_oracle
 from .polygon import (
     apply_polygon_point,
     bound_constants,
@@ -270,13 +271,7 @@ def check_geometry_oracle(seed=DEFAULT_SEED, steps=100, tol=1e-10) -> CheckResul
             dots = oracle_verts @ np.asarray(state.directions).T
             worst = max(worst, match_point_sets(snap.boundary, oracle_verts))
             worst = max(worst, float(np.abs((dots.max(0) - dots.min(0)) - snap.heights).max()))
-            area_o = 0.5 * float(
-                (
-                    oracle_verts[:, 0] * np.roll(oracle_verts[:, 1], -1)
-                    - oracle_verts[:, 1] * np.roll(oracle_verts[:, 0], -1)
-                ).sum()
-            )
-            worst = max(worst, abs(area_o - snap.area))
+            worst = max(worst, abs(shoelace_area(oracle_verts) - snap.area))
         stats[f"polygon_k{k}"] = worst
         lines.append(f"k={k}: max |vertices/heights/area| deviation = {worst:.2e} (<= {tol:g})")
     for d in (2, 3):

@@ -180,3 +180,34 @@ class TestCommands:
             ]
         )
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_config_file_seed_is_used(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"process": "interval", "n": 30, "seed": 5}))
+        from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(from_file)]) == 0
+        flags = ["simulate", "--process", "interval", "--n", "30", "--seed", "5"]
+        assert main(flags + ["--out", str(from_flag)]) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
+
+    def test_verify_json_carries_stats_and_note(self, tmp_path):
+        json_out = tmp_path / "report.json"
+        rc = main(["verify", "--check", "geometry-oracle", "--json", str(json_out)])
+        assert rc == 0
+        entry = json.loads(json_out.read_text())["geometry-oracle"]
+        assert entry["passed"] is True and entry["note"] is None
+        assert set(entry["stats"]) == {
+            "polygon_k5",
+            "polygon_k7",
+            "polygon_k8",
+            "simplex_d2",
+            "simplex_d3",
+        }
+        assert all(0.0 <= v <= 1e-10 for v in entry["stats"].values())
+        assert len(entry["statistics"]) == 5
+
+    def test_bad_env_seed_is_a_usage_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("DIMINISH_SEED", "abc")
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--process", "interval", "--n", "5", "--out", str(out)]) == 1
+        assert "DIMINISH_SEED must be an integer" in capsys.readouterr().err

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diminish.distributions import RngStream
-from diminish.errors import DomainError
-from diminish.oracle import clip_convex_by_convex, match_point_sets
+from diminish.errors import DomainError, StateCorruptionError
+from diminish.oracle import _clip_edge, clip_convex_by_convex, match_point_sets, shoelace_area
 from diminish.polygon import (
     GOLDEN_C,
     PolygonState,
@@ -23,7 +23,6 @@ from diminish.polygon import (
     reference_vertices,
     run_polygon_batch,
     sample_point,
-    shoelace_area,
     snapshot,
 )
 
@@ -59,6 +58,27 @@ def octagon_with_redundant_side():
         s = apply_polygon_point(s, p)
         oracle = clip_convex_by_convex(oracle, base + p)
     return s, oracle
+
+
+def clip_above(verts, q, level):
+    """Part of a convex cycle with ``<x, q> >= level``: the oracle's edge clip."""
+    a = level * q
+    return _clip_edge(verts, a, a + np.array([q[1], -q[0]]))
+
+
+def reference_caps(body, directions, rho):
+    """Cap areas and reducedness of an explicit body, by clipping."""
+    levels = (body @ directions.T).min(axis=0) + rho
+    caps = [clip_above(body, q, c) for q, c in zip(directions, levels)]
+    areas = np.array([max(shoelace_area(cap), 0.0) for cap in caps])
+    positive = np.flatnonzero(areas > 1e-12)
+    reduced = not any(
+        shoelace_area(clip_above(caps[a], directions[b], levels[b])) > 1e-12
+        for a in positive
+        for b in positive
+        if a < b
+    )
+    return areas, reduced
 
 
 class TestConstruction:
@@ -114,6 +134,36 @@ class TestSnapshot:
                 assert snap.region_areas[i] > 1e-12
             if snap.heights[i] < rho - 1e-9:
                 assert snap.region_areas[i] <= 1e-12
+
+    def test_caps_match_clipping_oracle(self):
+        degenerate = {}
+        for k in range(5, 10):
+            dirs = np.asarray(reference_directions(k))
+            base = np.asarray(reference_vertices(k))
+            degenerate[k] = 0
+            for rep in range(6):
+                rng = RngStream(60, rep, (k,))
+                state, body = polygon_new(k), base.copy()
+                for step in range(200):
+                    p = sample_point(state, rng)
+                    new = apply_polygon_point(state, p)
+                    body = clip_convex_by_convex(body, base + p)
+                    if step and np.array_equal(new.offsets, state.offsets):
+                        state = new
+                        continue
+                    state = new
+                    snap = snapshot(state)
+                    areas, reduced = reference_caps(body, dirs, state.rho)
+                    assert np.abs(snap.region_areas - areas).max() <= 1e-12, (k, rep, step)
+                    assert snap.reduced == reduced, (k, rep, step)
+                    degenerate[k] += snap.degenerate
+        # the closed forms are exercised on rebuilt (degenerate) cycles too
+        assert degenerate[8] + degenerate[9] > 0, degenerate
+
+    def test_empty_offset_polygon_raises(self):
+        for k in (5, 8):
+            with pytest.raises(StateCorruptionError):
+                snapshot(PolygonState(k, np.full(k, 0.9)))
 
     def test_labeled_vertices_are_support_points(self):
         rng = RngStream(42, 0)
