@@ -38,18 +38,21 @@ __all__ = ["main", "parse_config", "emit_csv"]
 
 ALIASES = {"pentagon": 5, "heptagon": 7, "octagon": 8}
 CONFIG_KEYS = ("process", "n", "replicas", "seed", "c", "delta", "d", "k", "out")
-_INT_KEYS = ("n", "replicas", "seed", "d", "k")
-_FLOAT_KEYS = ("c", "delta")
+_KINDS = {**dict.fromkeys(("n", "replicas", "seed", "d", "k"), int), "c": float, "delta": float}
+_KIND_NAMES = {int: "an integer", float: "a number"}
+
+
+def _coerce(kind, value, name: str):
+    """``kind(value)``; a value it rejects is a :class:`ConfigurationError` naming ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}") from exc
 
 
 def _default_seed() -> int:
     env = os.environ.get("DIMINISH_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigurationError(f"DIMINISH_SEED must be an integer, got {env!r}") from exc
-    return verification.DEFAULT_SEED
+    return verification.DEFAULT_SEED if env is None else _coerce(int, env, "DIMINISH_SEED")
 
 
 def parse_config(source, overrides: dict | None = None) -> RunConfig:
@@ -90,14 +93,10 @@ def parse_config(source, overrides: dict | None = None) -> RunConfig:
         if key not in data:
             raise ConfigurationError(f"missing required key: {key!r}")
     data.setdefault("seed", _default_seed())
-    kwargs = {}
-    for key, value in data.items():
-        if key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
+    kwargs = {
+        key: _coerce(_KINDS[key], value, f"config key {key!r}") if key in _KINDS else value
+        for key, value in data.items()
+    }
     return RunConfig(**kwargs).validate()
 
 

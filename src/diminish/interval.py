@@ -9,8 +9,10 @@ multiplier ``V`` with CDF ``x**delta``.  Iterating the thinned recursion
 gives the truncated series sampler for the limiting center.
 
 Draw discipline (replays are exact across scalar and batch runners):
-the full step consumes one uniform per step, the thinned step and the series
-sampler consume two uniforms per step/term (sign first, multiplier second).
+the full step consumes one uniform per step.  A thinned step, series term or
+perpetuity update takes a ``(2, ...)`` block, signs then multipliers, with
+``xi = +1`` iff the sign uniform is below ``1 - c`` and ``V = U**(1/delta)``;
+the scalar step and sampler are one-slot calls of the batch code.
 """
 
 from __future__ import annotations
@@ -57,12 +59,7 @@ class IntervalState:
 
 @dataclass(frozen=True)
 class ThinnedIntervalState:
-    """Center and excess radius of the thinned (change-only) chain.
-
-    The law parameters must have ``c`` strictly inside (0, 1): at the
-    endpoints the center degenerates to -1/2 or +1/2 and the thinned
-    factorization below does not apply.
-    """
+    """Center and excess radius of the thinned (change-only) chain; ``c`` lies in (0, 1)."""
 
     center: float
     excess: float
@@ -70,14 +67,38 @@ class ThinnedIntervalState:
     delta: float
 
     def __post_init__(self):
-        if not (0.0 < self.c < 1.0):
-            raise DomainError("thinned process requires c in (0, 1); endpoint laws degenerate")
-        if not self.delta > 0.0:
-            raise DomainError("delta must be positive")
+        _check_thinned_law(self.c, self.delta)
         if not (0.0 <= self.excess <= 0.5 + _EPS):
             raise DomainError(f"excess must lie in (0, 1/2], got {self.excess}")
         if abs(self.center) + self.excess > 0.5 + 1e-9:
             raise DomainError("|center| + excess must not exceed 1/2")
+
+
+def _check_thinned_law(c: float, delta: float, tol: float | None = None) -> None:
+    """Reject ``c`` outside (0, 1), ``delta <= 0`` and ``tol <= 0``.
+
+    At ``c = 0`` or ``1`` the center degenerates to -1/2 or +1/2 and the
+    thinned factorization does not apply.
+    """
+    if not (0.0 < c < 1.0):
+        raise DomainError(f"thinned chain requires c in (0, 1); endpoint laws degenerate, got {c}")
+    if not delta > 0.0:
+        raise DomainError(f"delta must be positive, got {delta}")
+    if tol is not None and not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+
+
+def _thinned_draws(u, c: float, delta: float):
+    """Signs ``xi`` and multipliers ``V`` from a ``(2, ...)`` block of uniforms.
+
+    ``np.power`` keeps zero-dimensional draws on the array kernel.
+    """
+    return np.where(u[0] < 1.0 - c, 1.0, -1.0), np.power(u[1], 1.0 / delta)
+
+
+def _thinned_move(center, excess, xi, v):
+    """One change step: center moves by ``xi * excess * (1 - v)``, excess scales by v."""
+    return center + xi * excess * (1.0 - v), excess * v
 
 
 def interval_new(law: DfForm) -> IntervalState:
@@ -124,18 +145,13 @@ def apply_thinned_step(s: ThinnedIntervalState, xi: int, v: float) -> ThinnedInt
         raise DomainError("xi must be +1 or -1")
     if not 0.0 <= v <= 1.0:
         raise DomainError("v must lie in [0, 1]")
-    return ThinnedIntervalState(
-        s.center + xi * s.excess * (1.0 - v), s.excess * v, s.c, s.delta
-    )
+    return ThinnedIntervalState(*_thinned_move(s.center, s.excess, xi, v), s.c, s.delta)
 
 
 def step_thinned(s: ThinnedIntervalState, rng: RngStream) -> ThinnedIntervalState:
     """Draw ``xi`` (+1 with probability 1 - c) and ``V`` with CDF ``x**delta``."""
-    u_sign = rng.uniform()
-    u_mult = rng.uniform()
-    xi = 1 if u_sign < 1.0 - s.c else -1
-    v = float(u_mult ** (1.0 / s.delta))
-    return apply_thinned_step(s, xi, v)
+    xi, v = _thinned_draws(rng.uniform((2, 1)), s.c, s.delta)
+    return apply_thinned_step(s, int(xi[0]), float(v[0]))
 
 
 _MAX_TERMS = 100_000
@@ -146,26 +162,10 @@ def center_series_sample(rng: RngStream, c: float, delta: float, tol: float) -> 
 
     Accumulates ``(1/2) sum xi_i V_1...V_{i-1} (1 - V_i)`` and stops once the
     deterministic tail bound ``(1/2) V_1...V_n`` drops below ``tol``, so the
-    absolute truncation error is below ``tol``.
+    absolute truncation error is below ``tol``.  A one-slot
+    :func:`center_series_batch`; the thinned chain's center on the same draws.
     """
-    if not (0.0 < c < 1.0):
-        raise DomainError("series sampler requires c in (0, 1)")
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    z = 0.0
-    pref = 0.5
-    for _ in range(_MAX_TERMS):
-        u_sign = rng.uniform()
-        u_mult = rng.uniform()
-        xi = 1.0 if u_sign < 1.0 - c else -1.0
-        v = u_mult ** (1.0 / delta)
-        z += xi * pref * (1.0 - v)
-        pref *= v
-        if pref < tol:
-            return z
-    raise StateCorruptionError("center series failed to reach the truncation bound")
+    return float(center_series_batch(rng, c, delta, tol, 1)[0])
 
 
 def center_series_batch(rng: RngStream, c: float, delta: float, tol: float, size: int):
@@ -173,24 +173,16 @@ def center_series_batch(rng: RngStream, c: float, delta: float, tol: float, size
 
     Term-major draw order (every slot draws each term, finished slots ignore
     theirs), so the batch is deterministic but is not a per-replica replay of
-    :func:`center_series_sample`.
+    :func:`center_series_sample` beyond one slot.
     """
-    if not (0.0 < c < 1.0):
-        raise DomainError("series sampler requires c in (0, 1)")
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _check_thinned_law(c, delta, tol)
     z = np.zeros(size)
     pref = np.full(size, 0.5)
     active = np.ones(size, dtype=bool)
     for _ in range(_MAX_TERMS):
-        u_sign = rng.uniform(size)
-        u_mult = rng.uniform(size)
-        xi = np.where(u_sign < 1.0 - c, 1.0, -1.0)
-        v = u_mult ** (1.0 / delta)
-        z = np.where(active, z + xi * pref * (1.0 - v), z)
-        pref = np.where(active, pref * v, pref)
+        moved, shrunk = _thinned_move(z, pref, *_thinned_draws(rng.uniform((2, size)), c, delta))
+        z = np.where(active, moved, z)
+        pref = np.where(active, shrunk, pref)
         active = pref >= tol
         if not active.any():
             return z
@@ -204,13 +196,9 @@ def perpetuity_step(z, rng: RngStream, c: float, delta: float):
     limit the samples represent; a fixed point of this map is exactly the
     limiting center distribution.
     """
-    if not (0.0 < c < 1.0):
-        raise DomainError("perpetuity map requires c in (0, 1)")
+    _check_thinned_law(c, delta)
     z = np.asarray(z, dtype=float)
-    u_sign = rng.uniform(z.shape if z.ndim else None)
-    u_mult = rng.uniform(z.shape if z.ndim else None)
-    xi = np.where(np.asarray(u_sign) < 1.0 - c, 1.0, -1.0)
-    v = np.asarray(u_mult) ** (1.0 / delta)
+    xi, v = _thinned_draws(rng.uniform((2, *z.shape)), c, delta)
     out = 0.5 * xi * (1.0 - v) + v * z
     return float(out) if out.ndim == 0 else out
 

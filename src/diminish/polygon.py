@@ -348,10 +348,14 @@ def sample_point(s: PolygonState, rng: RngStream) -> np.ndarray:
 
 
 def apply_polygon_point(s: PolygonState, p) -> PolygonState:
-    """Intersect with ``p + K``: raise each offset to ``<p, q_i> - rho_k`` (as the batch does)."""
+    """Intersect with ``p + K``: raise each offset to ``<p, q_i> - rho_k`` (as the batch does).
+
+    A point that misses every cap returns ``s`` itself, with its cached geometry.
+    """
     p = np.asarray(p, dtype=float)
     dirs = s.directions
-    return PolygonState(s.k, np.maximum(s.offsets, dirs[:, 0] * p[0] + dirs[:, 1] * p[1] - s.rho))
+    o = np.maximum(s.offsets, dirs[:, 0] * p[0] + dirs[:, 1] * p[1] - s.rho)
+    return s if np.array_equal(o, s.offsets) else PolygonState(s.k, o)
 
 
 def polygon_step(s: PolygonState, rng: RngStream) -> PolygonState:
@@ -541,7 +545,6 @@ def run_polygon_batch(
     dirs = np.asarray(reference_directions(k))
     rho = math.cos(math.pi / k)
     is_pentagon = k == 5
-    lam = GOLDEN_LAMBDA
 
     final_heights = np.empty((replicas, k))
     final_area = np.empty(replicas)
@@ -569,7 +572,7 @@ def run_polygon_batch(
             np.maximum(a_max, g.area, out=a_max)
             h = g.heights
             if is_pentagon:
-                np.maximum(resid, np.abs(h[1] + lam * h[0] - h[2] - lam * h[3]), out=resid)
+                np.maximum(resid, np.abs(pentagon_residual(h.T)), out=resid)
             if prev_heights is not None:
                 np.maximum(rise, (h - prev_heights).max(axis=0), out=rise)
             prev_heights = h

@@ -17,7 +17,8 @@ the closed form ``beta_i <- beta_i - max(0, m lambda_i - rho)``.
 
 Draw discipline: the full step consumes ``d + 1`` uniforms (exponential
 spacings of the uniform point), the thinned step consumes two (vertex pick,
-then height).
+then height) through the draw helper and row-wise update that the batch
+engine uses, so batch rows replay scalar chains bit for bit.
 """
 
 from __future__ import annotations
@@ -181,6 +182,8 @@ class SimplexThinned:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
+        if w.ndim != 1 or len(w) < 2:
+            raise DomainError("thinned simplex needs d + 1 >= 2 weights in one vector")
         if abs(float(w.sum()) - 1.0) > 1e-12 * (len(w) + 1):
             raise DomainError("barycentric weights must sum to 1")
         if float(w.min()) < -1e-12:
@@ -196,44 +199,52 @@ def simplex_thinned_new(d: int) -> SimplexThinned:
     return SimplexThinned(np.full(d + 1, 1.0 / (d + 1)), 1.0 / d)
 
 
-def apply_simplex_thinned(s: SimplexThinned, d: int, xi: int, h: float) -> SimplexThinned:
+def _vertex_pick(u, d: int):
+    """Uniform vertex index in ``{0, ..., d}`` from uniforms ``u``."""
+    return np.minimum((u * (d + 1)).astype(int), d)
+
+
+def _thinned_draws(u, d: int):
+    """Vertices ``xi`` and heights ``h = 1 - U**(1/d)`` from a ``(2, ...)`` block of uniforms."""
+    return _vertex_pick(u[0], d), 1.0 - np.power(u[1], 1.0 / d)
+
+
+def _thinned_update(w: np.ndarray, ell: np.ndarray, xi: np.ndarray, h: np.ndarray):
+    """The update of :func:`apply_simplex_thinned`, one chain per row; ``h = 0`` is a no-op."""
+    d = w.shape[1] - 1
+    shift = (d / (d + 1)) * ell * h
+    w = w - shift[:, None]
+    w[np.arange(len(w)), xi] += (d + 1) * shift
+    return w, ell * (1.0 - h)
+
+
+def apply_simplex_thinned(s: SimplexThinned, xi: int, h: float) -> SimplexThinned:
     """Shift weight toward vertex ``xi`` by ``(d/(d+1)) * excess * h``; scale excess by ``1-h``."""
-    if len(s.weights) != d + 1:
-        raise DomainError("state dimension mismatch")
-    if not 0 <= xi <= d:
+    if not 0 <= xi < len(s.weights):
         raise DomainError("vertex index out of range")
     if not 0.0 <= h <= 1.0:
         raise DomainError("h must lie in [0, 1]")
-    shift = (d / (d + 1)) * s.excess * h
-    w = s.weights - shift
-    w[xi] += (d + 1) * shift
+    w, ell = _thinned_update(s.weights[None], np.array([s.excess]), np.array([xi]), np.array([h]))
     if float(w.min()) < -1e-12:
         raise StateCorruptionError("thinned update drove a barycentric weight negative")
-    return SimplexThinned(w, s.excess * (1.0 - h))
+    return SimplexThinned(w[0], float(ell[0]))
 
 
-def simplex_thinned_step(s: SimplexThinned, d: int, rng: RngStream) -> SimplexThinned:
+def simplex_thinned_step(s: SimplexThinned, rng: RngStream) -> SimplexThinned:
     """Draw the target vertex uniformly and the height from the base law."""
-    u_vertex = rng.uniform()
-    u_height = rng.uniform()
-    xi = min(int(u_vertex * (d + 1)), d)
-    h = 1.0 - u_height ** (1.0 / d)
-    return apply_simplex_thinned(s, d, xi, h)
+    xi, h = _thinned_draws(rng.uniform((2, 1)), len(s.weights) - 1)
+    return apply_simplex_thinned(s, int(xi[0]), float(h[0]))
 
 
-def simplex_perpetuity_step(weights, rng: RngStream, d: int):
+def simplex_perpetuity_step(weights, rng: RngStream):
     """Fixed-point update of the limit law: ``h u_xi + (1 - h) Lambda``.
 
     ``weights`` has shape (d+1,) or (N, d+1); one update per row.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
-    n = w.shape[0]
-    u_vertex = rng.uniform(n)
-    u_height = rng.uniform(n)
-    xi = np.minimum((u_vertex * (d + 1)).astype(int), d)
-    h = 1.0 - u_height ** (1.0 / d)
+    xi, h = _thinned_draws(rng.uniform((2, len(w))), w.shape[1] - 1)
     out = (1.0 - h)[:, None] * w
-    out[np.arange(n), xi] += h
+    out[np.arange(len(w)), xi] += h
     return out[0] if np.asarray(weights).ndim == 1 else out
 
 
@@ -288,31 +299,29 @@ def run_simplex_batch(d: int, n: int, replicas: int, seed: int, chunk: int = 409
     return heights, centers
 
 
-def run_thinned_batch(d: int, replicas: int, seed: int, tol: float = 1e-12, max_terms: int = 1024):
+_THINNED_TOL = 1e-12
+_THINNED_TERMS = 1024
+
+
+def run_thinned_batch(d: int, replicas: int, seed: int):
     """Limiting barycentric weights of independent thinned chains, shape (replicas, d+1).
 
-    Each chain runs until its excess height is below ``tol`` (further motion
-    of the weights is then below ``tol``); replica ``r`` replays the scalar
-    stepper on ``RngStream(seed, r)``.
+    Each chain runs until its excess height is below ``1e-12`` (further
+    motion of the weights is then below that), within 1024 changes; replica
+    ``r`` replays the scalar stepper on ``RngStream(seed, r)`` bit for bit.
     """
     out = np.empty((replicas, d + 1))
-    for start, stop, blocks in replica_blocks(seed, replicas, max_terms, 2, 512):
-        c = stop - start
-        w = np.full((c, d + 1), 1.0 / (d + 1))
-        ell = np.full(c, 1.0 / d)
-        rows = np.arange(c)
+    for start, stop, blocks in replica_blocks(seed, replicas, _THINNED_TERMS, 2, 512):
+        w = np.full((stop - start, d + 1), 1.0 / (d + 1))
+        ell = np.full(stop - start, 1.0 / d)
         for ut in (u[:, t] for u in blocks for t in range(u.shape[1])):
-            active = ell >= tol
+            active = ell >= _THINNED_TOL
             if not active.any():
                 break
-            xi = np.minimum((ut[:, 0] * (d + 1)).astype(int), d)
-            h = 1.0 - ut[:, 1] ** (1.0 / d)
-            shift = np.where(active, (d / (d + 1)) * ell * h, 0.0)
-            w -= shift[:, None]
-            w[rows, xi] += (d + 1) * shift
-            ell = np.where(active, ell * (1.0 - h), ell)
-        if (ell >= tol).any():
-            raise StateCorruptionError("thinned chain failed to converge within max_terms")
+            xi, h = _thinned_draws(ut.T, d)
+            w, ell = _thinned_update(w, ell, xi, np.where(active, h, 0.0))
+        if (ell >= _THINNED_TOL).any():
+            raise StateCorruptionError("thinned chain failed to converge within 1024 changes")
         out[start:stop] = w
     if out.min() < -1e-12:
         raise StateCorruptionError("thinned batch drove a barycentric weight negative")
@@ -336,7 +345,7 @@ def heights_after_changes(d: int, n_changes: int, replicas: int, seed: int):
     offsets = np.full((replicas, d + 1), 2.0 * rho / (d + 1))
     rows = np.arange(replicas)
     for _ in range(n_changes):
-        corner = np.minimum((rng.uniform(replicas) * (d + 1)).astype(int), d)
+        corner = _vertex_pick(rng.uniform(replicas), d)
         m = offsets.sum(axis=1)
         s = (m - rho) / m
         lam = s[:, None] * _uniform_weights(rng.uniform((replicas, d + 1)))

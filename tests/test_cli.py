@@ -48,6 +48,12 @@ class TestParseConfig:
         cfg = parse_config(str(path), {"n": 900, "seed": 3})
         assert cfg.n == 900 and cfg.replicas == 7 and cfg.seed == 3
 
+    @pytest.mark.parametrize("key,value", [("n", "ten"), ("c", "half"), ("seed", None)])
+    def test_bad_value_names_key(self, key, value):
+        cfg = {"process": "interval", "n": 10, "replicas": 1, key: value}
+        with pytest.raises(ConfigurationError, match=f"config key '{key}' must be"):
+            parse_config(cfg)
+
     def test_bad_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -211,3 +217,10 @@ class TestCommands:
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--process", "interval", "--n", "5", "--out", str(out)]) == 1
         assert "DIMINISH_SEED must be an integer" in capsys.readouterr().err
+
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"process": "interval", "n": "ten", "replicas": 1}))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert "error: config key 'n' must be an integer, got 'ten'" in capsys.readouterr().err

@@ -157,6 +157,26 @@ class TestCenterSeries:
         with pytest.raises(DomainError):
             center_series_sample(RngStream(1), 0.5, 1.0, 0.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(0.01, 0.99),
+        delta=st.floats(0.2, 5.0),
+        tol=st.sampled_from([1e-3, 1e-9, 1e-12]),
+    )
+    def test_sample_is_one_slot_batch(self, seed, c, delta, tol):
+        z = center_series_sample(RngStream(seed, 1), c, delta, tol)
+        assert z == center_series_batch(RngStream(seed, 1), c, delta, tol, 1)[0]
+
+    @pytest.mark.parametrize("c,delta", [(0.5, 1.0), (0.3, 2.0), (0.8, 0.7)])
+    def test_sample_is_thinned_chain_center(self, c, delta):
+        for r in range(20):
+            s = thinned_new(c, delta)
+            rng = RngStream(12, r)
+            while s.excess >= 1e-9:
+                s = step_thinned(s, rng)
+            assert s.center == center_series_sample(RngStream(12, r), c, delta, 1e-9)
+
     def test_scalar_sampler_matches_beta(self):
         rng = RngStream(5, 0)
         z = np.array([center_series_sample(rng, 0.3, 2.0, 1e-9) for _ in range(10_000)])
@@ -178,6 +198,11 @@ class TestRepresentationConsistency:
         assert ks_two_sample(centers, series) <= 0.02
         assert ks_stat(centers, cdf_callable(arcsine())) <= 0.02
         assert ks_stat(series, cdf_callable(arcsine())) <= 0.02
+
+    @pytest.mark.parametrize("c,delta", [(0.5, -1.0), (0.5, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    def test_perpetuity_rejects_bad_law(self, c, delta):
+        with pytest.raises(DomainError):
+            perpetuity_step(np.zeros(4), RngStream(11, 0), c, delta)
 
     @pytest.mark.parametrize("c,delta", [(0.5, 1.0), (0.3, 2.0)])
     def test_perpetuity_fixed_point(self, c, delta):

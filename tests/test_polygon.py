@@ -185,6 +185,15 @@ class TestStep:
         assert np.array_equal(out.offsets, s.offsets)
         assert not change_region_membership(s, center).any()
 
+    def test_miss_returns_the_same_state_and_its_snapshot(self):
+        s = reduced_regular_pentagon(0.05)
+        snap = snapshot(s)
+        center, _ = chebyshev_center(s)
+        assert apply_polygon_point(s, center) is s
+        assert snapshot(apply_polygon_point(s, center)) is snap
+        hit = apply_polygon_point(s, snap.vertices[0] - 0.01 * np.asarray(s.directions[0]))
+        assert hit is not s and snapshot(hit) is not snap
+
     def test_golden_ratio_coupling(self):
         # point in cap 1 at height fraction h drops m_1 by h*excess
         # and the two opposite heights by the golden ratio of that

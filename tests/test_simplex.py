@@ -109,13 +109,13 @@ class TestFullStep:
 class TestThinnedChain:
     def test_substitution_example(self):
         s = simplex_thinned_new(2)
-        out = apply_simplex_thinned(s, 2, 0, 0.3)
+        out = apply_simplex_thinned(s, 0, 0.3)
         assert np.allclose(out.weights, [1 / 3 + 0.2, 1 / 3 - 0.1, 1 / 3 - 0.1], atol=1e-12)
         assert out.excess == pytest.approx(0.35, abs=1e-15)
 
     def test_zero_height_is_identity(self):
         s = simplex_thinned_new(3)
-        out = apply_simplex_thinned(s, 3, 1, 0.0)
+        out = apply_simplex_thinned(s, 1, 0.0)
         assert np.array_equal(out.weights, s.weights)
         assert out.excess == s.excess
 
@@ -128,17 +128,22 @@ class TestThinnedChain:
     def test_weights_stay_normalized(self, xi, h, steps):
         s = simplex_thinned_new(2)
         for _ in range(steps):
-            s = apply_simplex_thinned(s, 2, xi, h)
+            s = apply_simplex_thinned(s, xi, h)
         assert float(s.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("weights", [[1.0], [[0.5, 0.5]]])
+    def test_bad_weight_shape_rejected(self, weights):
+        with pytest.raises(DomainError):
+            SimplexThinned(np.array(weights), 0.0)
 
     def test_negative_weight_is_corruption(self):
         s = SimplexThinned(np.array([1.0, 0.0, 0.0]), 0.5)
         with pytest.raises(StateCorruptionError):
-            apply_simplex_thinned(s, 2, 0, 0.5)
+            apply_simplex_thinned(s, 0, 0.5)
 
     def test_step_consumes_two_uniforms(self, scripted):
         s = simplex_thinned_new(2)
-        out = simplex_thinned_step(s, 2, scripted([0.5, 0.49]))  # xi=1, h=1-0.7=0.3
+        out = simplex_thinned_step(s, scripted([0.5, 0.49]))  # xi=1, h=1-0.7=0.3
         assert out.excess == pytest.approx(s.excess * (1 - (1 - 0.49**0.5)), abs=1e-12)
 
 
@@ -174,18 +179,19 @@ class TestBarycentric:
 
 class TestLimitLaws:
     def test_thinned_batch_matches_scalar_steps(self):
-        lam = run_thinned_batch(2, 3, seed=34, tol=1e-12)
-        for r in range(3):
-            rng = RngStream(34, r)
-            s = simplex_thinned_new(2)
-            while s.excess >= 1e-12:
-                s = simplex_thinned_step(s, 2, rng)
-            assert np.allclose(lam[r], s.weights, atol=1e-11)
+        for d in (1, 2, 3, 5):
+            lam = run_thinned_batch(d, 40, seed=34)
+            for r in range(40):
+                rng = RngStream(34, r)
+                s = simplex_thinned_new(d)
+                while s.excess >= 1e-12:
+                    s = simplex_thinned_step(s, rng)
+                assert np.array_equal(lam[r], s.weights), (d, r)
 
     def test_perpetuity_fixed_point(self):
         d = 2
         lam = run_thinned_batch(d, 10_000, seed=35)
-        lam_next = simplex_perpetuity_step(lam, RngStream(36, 0), d)
+        lam_next = simplex_perpetuity_step(lam, RngStream(36, 0))
         for i in range(d + 1):
             assert ks_two_sample(lam[:, i], lam_next[:, i]) <= 0.02
 
