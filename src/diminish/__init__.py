@@ -29,7 +29,6 @@ from .interval import (
     step_thinned,
     thinned_new,
 )
-from .cube import CubeState, cube_new
 from .simplex import (
     SimplexState,
     SimplexThinned,

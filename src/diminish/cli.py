@@ -43,11 +43,17 @@ _KIND_NAMES = {int: "an integer", float: "a number"}
 
 
 def _coerce(kind, value, name: str):
-    """``kind(value)``; a value it rejects is a :class:`ConfigurationError` naming ``name``."""
+    """``kind(value)``, exactly; a boolean, a fractional integer or a value ``kind``
+    rejects is a :class:`ConfigurationError` naming ``name``."""
+    error = ConfigurationError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise error
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}") from exc
+        raise error from exc
 
 
 def _default_seed() -> int:
@@ -224,7 +230,14 @@ def _cmd_verify(args) -> int:
         print(res.report())
     if args.json:
         payload = {
-            r.name: {"passed": r.passed, "statistics": r.lines, "stats": r.stats, "note": r.note}
+            r.name: {
+                "passed": r.passed,
+                "statistics": r.lines,
+                "stats": r.stats,
+                "thresholds": r.thresholds,
+                "seconds": r.seconds,
+                "note": r.note,
+            }
             for r in results
         }
         with open(args.json, "w", encoding="utf-8") as fh:

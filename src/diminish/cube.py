@@ -9,42 +9,15 @@ axis assignment a pure relabeling of sub-streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distributions import DfForm, RngStream
 from .errors import DomainError
-from .interval import IntervalState, interval_new, run_full_batch, step_full
+from .interval import interval_new, run_full_batch, step_full
 
-__all__ = ["CubeState", "UNIFORM_LAW", "cube_new", "cube_trajectory", "cube_run_batch"]
+__all__ = ["UNIFORM_LAW", "cube_trajectory", "cube_run_batch"]
 
 UNIFORM_LAW = DfForm(c=0.5, delta=1.0)
-
-
-@dataclass(frozen=True)
-class CubeState:
-    """One interval state per axis, driven by the uniform law."""
-
-    components: tuple[IntervalState, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.array([2.0 * c.radius for c in self.components])
-
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([c.center for c in self.components])
-
-
-def cube_new(d: int) -> CubeState:
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    return CubeState(tuple(interval_new(UNIFORM_LAW) for _ in range(d)))
 
 
 def cube_trajectory(d: int, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:

@@ -367,32 +367,34 @@ def dirichlet_sample(rng: RngStream, alpha, size=None):
     return g / g.sum(axis=-1, keepdims=True)
 
 
-def dirichlet_pdf(alpha, x) -> float:
-    """Joint density of Dirichlet(alpha) at a point of the probability simplex.
+def dirichlet_pdf(alpha, x):
+    """Joint density of Dirichlet(alpha) at points of the probability simplex.
 
-    ``x`` carries all ``len(alpha)`` coordinates (summing to one within
-    1e-12); the value equals the density of the last ``d`` coordinates in
-    the standard representation.  A zero coordinate with shape below one is
-    reported as ``inf`` explicitly.
+    ``x`` has shape ``(..., len(alpha))``: each point carries all coordinates
+    (summing to one within 1e-12), and its value equals the density of the
+    last ``d`` coordinates in the standard representation.  One point gives a
+    float, a stack of points an array of shape ``x.shape[:-1]``.  A point with
+    a zero coordinate of shape below one is reported as ``inf`` explicitly,
+    else one with a zero coordinate of shape above one as ``0``.
     """
     alpha = np.asarray(alpha, dtype=float)
     x = np.asarray(x, dtype=float)
-    if alpha.shape != x.shape or alpha.ndim != 1:
-        raise DomainError("alpha and x must be equal-length vectors")
+    if alpha.ndim != 1 or x.shape[-1:] != alpha.shape:
+        raise DomainError("x must be a point or a stack of points of alpha's length")
     if np.any(alpha <= 0):
         raise DomainError("dirichlet shapes must be positive")
-    if np.any(x < -1e-12) or abs(float(x.sum()) - 1.0) > 1e-12:
+    if np.any(x < -1e-12) or np.any(np.abs(x.sum(axis=-1) - 1.0) > 1e-12):
         raise DomainError("x must lie on the probability simplex (sum 1, nonnegative)")
     x = np.clip(x, 0.0, None)
     zero = x == 0.0
-    if np.any(zero & (alpha < 1.0)):
-        return math.inf
-    if np.any(zero & (alpha > 1.0)):
-        return 0.0
-    live = ~zero
+    # a zero coordinate adds log(1) = 0; its point is set to 0 or inf below
     log_pdf = (
         math.lgamma(float(alpha.sum()))
         - float(np.sum([math.lgamma(a) for a in alpha]))
-        + float(np.sum((alpha[live] - 1.0) * np.log(x[live])))
+        + np.sum((alpha - 1.0) * np.log(np.where(zero, 1.0, x)), axis=-1)
     )
-    return math.exp(log_pdf)
+    # math.exp, not np.exp: a point's value must not depend on the stack around it
+    pdf = np.vectorize(math.exp, otypes=[float])(log_pdf)
+    pdf = np.where(np.any(zero & (alpha > 1.0), axis=-1), 0.0, pdf)
+    pdf = np.where(np.any(zero & (alpha < 1.0), axis=-1), math.inf, pdf)
+    return float(pdf) if pdf.ndim == 0 else pdf

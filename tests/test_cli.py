@@ -48,11 +48,37 @@ class TestParseConfig:
         cfg = parse_config(str(path), {"n": 900, "seed": 3})
         assert cfg.n == 900 and cfg.replicas == 7 and cfg.seed == 3
 
-    @pytest.mark.parametrize("key,value", [("n", "ten"), ("c", "half"), ("seed", None)])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n", "ten"),
+            ("c", "half"),
+            ("seed", None),
+            ("n", 10.7),
+            ("replicas", 2.5),
+            ("seed", 1.5),
+            ("d", 2.5),
+            ("k", 5.5),
+            ("n", True),
+            ("replicas", True),
+            ("seed", False),
+            ("d", True),
+            ("k", True),
+            ("c", True),
+            ("delta", False),
+        ],
+    )
     def test_bad_value_names_key(self, key, value):
         cfg = {"process": "interval", "n": 10, "replicas": 1, key: value}
         with pytest.raises(ConfigurationError, match=f"config key '{key}' must be"):
             parse_config(cfg)
+
+    def test_integral_float_is_accepted(self):
+        cfg = parse_config(
+            {"process": "simplex", "n": 10.0, "replicas": 2.0, "seed": 3.0, "d": 2.0}
+        )
+        assert (cfg.n, cfg.replicas, cfg.seed, cfg.d) == (10, 2, 3, 2)
+        assert all(type(v) is int for v in (cfg.n, cfg.replicas, cfg.seed, cfg.d))
 
     def test_bad_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -147,10 +173,14 @@ class TestCommands:
 
         def fake_pass(seed):
             calls["seed"] = seed
-            return CheckResult("figure-ranges", True, ["stat = 1"])
+            res = CheckResult("figure-ranges")
+            res.criterion("stat", "stat", 1, "<=", 1)
+            return res
 
         def fake_fail(seed):
-            return CheckResult("cube", False, ["stat = 9"])
+            res = CheckResult("cube")
+            res.criterion("stat", "stat", 9, "<=", 1)
+            return res
 
         monkeypatch.setitem(verification.ALL_CHECKS, "figure-ranges", fake_pass)
         monkeypatch.setitem(verification.ALL_CHECKS, "cube", fake_fail)
@@ -211,6 +241,10 @@ class TestCommands:
         }
         assert all(0.0 <= v <= 1e-10 for v in entry["stats"].values())
         assert len(entry["statistics"]) == 5
+        assert entry["thresholds"] == {
+            key: [{"op": "<=", "limit": 1e-10}] for key in entry["stats"]
+        }
+        assert entry["seconds"] > 0.0
 
     def test_bad_env_seed_is_a_usage_error(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("DIMINISH_SEED", "abc")
@@ -220,7 +254,9 @@ class TestCommands:
 
     def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"process": "interval", "n": "ten", "replicas": 1}))
         out = tmp_path / "traj.csv"
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-        assert "error: config key 'n' must be an integer, got 'ten'" in capsys.readouterr().err
+        for value in ("ten", 10.7, True):
+            config.write_text(json.dumps({"process": "interval", "n": value, "replicas": 1}))
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert f"error: config key 'n' must be an integer, got {value!r}" in err

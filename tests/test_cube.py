@@ -1,22 +1,18 @@
 import numpy as np
 import pytest
 
-from diminish.cube import UNIFORM_LAW, cube_new, cube_run_batch, cube_trajectory
+from diminish.cube import UNIFORM_LAW, cube_run_batch, cube_trajectory
 from diminish.distributions import RngStream
 from diminish.errors import DomainError
 from diminish.interval import interval_new, step_full
 
 
 class TestCubeConstruction:
-    def test_new(self):
-        s = cube_new(3)
-        assert s.dimension == 3
-        assert np.allclose(s.edges, 2.0)
-        assert np.allclose(s.centers, 0.0)
-
     def test_bad_dimension(self):
         with pytest.raises(DomainError):
-            cube_new(0)
+            cube_trajectory(0, 10, RngStream(1, 0))
+        with pytest.raises(DomainError):
+            cube_run_batch(0, 10, 4, 1)
 
 
 class TestProductStructure:

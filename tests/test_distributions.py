@@ -219,6 +219,18 @@ class TestDirichletPdf:
         assert dirichlet_pdf([0.5, 1.0, 1.5], [0.0, 0.4, 0.6]) == math.inf
         assert dirichlet_pdf([2.0, 1.0, 1.0], [0.0, 0.4, 0.6]) == 0.0
 
+    def test_stack_matches_single_points(self):
+        alpha = [0.5, 2.0, 1.0]
+        points = np.array([[0.0, 0.4, 0.6], [0.4, 0.0, 0.6], [0.4, 0.6, 0.0], [0.2, 0.3, 0.5]])
+        stacked = dirichlet_pdf(alpha, points.reshape(2, 2, 3))
+        assert stacked.shape == (2, 2)
+        singles = [dirichlet_pdf(alpha, p) for p in points]
+        assert all(isinstance(v, float) for v in singles)
+        assert stacked.ravel().tolist() == singles
+        assert singles[:2] == [math.inf, 0.0]
+        with pytest.raises(DomainError):
+            dirichlet_pdf(alpha, [[0.3, 0.3, 0.4], [0.3, 0.3, 0.5]])
+
     @pytest.mark.parametrize("alpha", [(1.0, 1.0, 1.0), (2.0, 3.0, 4.0), (1.5, 1.0, 2.0)])
     def test_integrates_to_one(self, alpha):
         # midpoint rule on an exact triangulation of the simplex
@@ -233,8 +245,7 @@ class TestDirichletPdf:
         y_dn = ((j + 2 / 3) * h).ravel()[down]
         total = 0.0
         for xs, ys in ((x_up, y_up), (x_dn, y_dn)):
-            for x, y in zip(xs, ys):
-                total += dirichlet_pdf(list(alpha), [1.0 - x - y, x, y])
+            total += dirichlet_pdf(alpha, np.stack([1.0 - xs - ys, xs, ys], axis=-1)).sum()
         total *= h * h / 2.0
         assert total == pytest.approx(1.0, abs=1e-3)
 

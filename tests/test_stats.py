@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -139,3 +140,32 @@ class TestRunExperiment:
         heights = res.extras["heights"]
         expected = (3 * 100) ** 0.5 / 0.5 * (heights - 0.5)
         assert np.allclose(res.values(), expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"process": "interval"},
+            {"process": "cube", "d": 3},
+            {"process": "simplex", "d": 2},
+            {"process": "simplex", "d": 3},
+            {"process": "polygon", "k": 5},
+            {"process": "polygon", "k": 8},
+        ],
+        ids=lambda p: "-".join(str(v) for v in p.values()),
+    )
+    def test_fewer_replicas_are_a_prefix(self, params):
+        """R replicas equal the first R rows of a larger run, every extra included."""
+        small = run_experiment(RunConfig(n=300, replicas=40, seed=58, **params))
+        big = run_experiment(RunConfig(n=300, replicas=100, seed=58, **params))
+        assert np.array_equal(small.values(), big.values()[:40])
+        assert small.extras.keys() == big.extras.keys()
+        for key, value in small.extras.items():
+            if key != "batch":
+                assert np.array_equal(value, big.extras[key][:40]), key
+                continue
+            for f in dataclasses.fields(value):
+                a, b = getattr(value, f.name), getattr(big.extras["batch"], f.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b[:40]), f.name
+                else:
+                    assert a == b, f.name
