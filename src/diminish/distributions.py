@@ -135,9 +135,10 @@ class DfForm:
     """Distribution on [0, 1] with CDF ``c (2x)^delta`` below 1/2 and
     ``1 - (1-c) (2(1-x))^delta`` above.
 
-    ``c`` is the total mass of [0, 1/2] and ``delta`` the shape exponent.
-    The endpoints ``c = 0`` and ``c = 1`` are accepted; they concentrate all
-    mass on one half and degenerate the limiting interval center to +-1/2.
+    ``c`` is the total mass of [0, 1/2] and ``delta`` the finite shape
+    exponent.  The endpoints ``c = 0`` and ``c = 1`` are accepted; they
+    concentrate all mass on one half and degenerate the limiting interval
+    center to +-1/2.
     """
 
     c: float
@@ -146,8 +147,8 @@ class DfForm:
     def __post_init__(self):
         if not (0.0 <= self.c <= 1.0):
             raise DomainError(f"mixture weight c must lie in [0, 1], got {self.c}")
-        if not self.delta > 0.0:
-            raise DomainError(f"shape exponent delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise DomainError(f"shape exponent delta must be positive and finite, got {self.delta}")
 
 
 def df_form_cdf(x, f: DfForm):

@@ -17,6 +17,7 @@ the scalar step and sampler are one-slot calls of the batch code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,15 +76,15 @@ class ThinnedIntervalState:
 
 
 def _check_thinned_law(c: float, delta: float, tol: float | None = None) -> None:
-    """Reject ``c`` outside (0, 1), ``delta <= 0`` and ``tol <= 0``.
+    """Reject ``c`` outside (0, 1), ``delta`` not positive and finite, and ``tol <= 0``.
 
     At ``c = 0`` or ``1`` the center degenerates to -1/2 or +1/2 and the
     thinned factorization does not apply.
     """
     if not (0.0 < c < 1.0):
         raise DomainError(f"thinned chain requires c in (0, 1); endpoint laws degenerate, got {c}")
-    if not delta > 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta}")
     if tol is not None and not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
 

@@ -27,6 +27,13 @@ side-pair vertices; the cycle then repeats a vertex at each redundant side.
 The stored offsets stay raw.  One area-weighted fan sampler draws the points,
 three uniforms per step, so scalar and batch trajectories agree bit for bit.
 Cap areas and reducedness are closed forms on the cycle; nothing here clips.
+
+A state stays fixed between two changes, and late in a run almost every step
+misses every cap.  The batch engine therefore runs in windows: each replica
+draws a window of steps from its current geometry in one vector call and
+jumps to the first step that raises an offset, with the same strict test the
+scalar step applies.  Only replicas that changed recompute their geometry,
+and an unchanged step adds nothing new to any accumulator.
 """
 
 from __future__ import annotations
@@ -248,22 +255,23 @@ def _cycles(o: np.ndarray) -> _Cycle:
 
 
 def _fan_points(g: _Cycle, u: np.ndarray):
-    """Uniform points ``(px, py)`` of the cycles from draws ``u`` (3, C).
+    """Uniform points ``(px, py)``, each (C, W), of the cycles from draws ``u`` (3, C, W).
 
-    ``u[0]`` picks a fan triangle from candidate 0 by area; ``u[1], u[2]``
-    are its barycentric weights, reflected when they sum past one.
+    Column c draws W points of its own cycle.  ``u[0]`` picks a fan triangle
+    from candidate 0 by area; ``u[1], u[2]`` are its barycentric weights,
+    reflected when they sum past one.  The arithmetic is elementwise, so a
+    point does not depend on the shape of the call.
     """
     k, c = g.x.shape
-    cols = np.arange(c)
-    idx = np.minimum((g.cum < u[0] * g.area).sum(axis=0), k - 3)
-    v0x, v0y = g.x[0], g.y[0]
-    bx, by = g.x[idx + 1, cols], g.y[idx + 1, cols]
-    cx, cy = g.x[idx + 2, cols], g.y[idx + 2, cols]
+    idx = np.minimum((g.cum[..., None] < u[0] * g.area[:, None]).sum(axis=0), k - 3)
+    b = idx * c + np.arange(c)[:, None]  # triangle (0, idx + 1, idx + 2) of each column
+    ex, ey = (g.x[1:] - g.x[0]).ravel(), (g.y[1:] - g.y[0]).ravel()  # candidate j + 1 - candidate 0
     a2, a3 = u[1], u[2]
     refl = a2 + a3 > 1.0
     a2 = np.where(refl, 1.0 - a2, a2)
     a3 = np.where(refl, 1.0 - a3, a3)
-    return v0x + a2 * (bx - v0x) + a3 * (cx - v0x), v0y + a2 * (by - v0y) + a3 * (cy - v0y)
+    px = g.x[0, :, None] + a2 * ex.take(b) + a3 * ex.take(b + c)
+    return px, g.y[0, :, None] + a2 * ey.take(b) + a3 * ey.take(b + c)
 
 
 def _state_cycle(s: PolygonState) -> _Cycle:
@@ -343,8 +351,8 @@ def sample_point(s: PolygonState, rng: RngStream) -> np.ndarray:
     g = _state_cycle(s)
     if g.area[0] <= 1e-12:
         raise DomainError("cannot sample from a zero-area region")
-    px, py = _fan_points(g, rng.uniform((3, 1)))
-    return np.array([px[0], py[0]])
+    px, py = _fan_points(g, rng.uniform((3, 1, 1)))
+    return np.array([px[0, 0], py[0, 0]])
 
 
 def apply_polygon_point(s: PolygonState, p) -> PolygonState:
@@ -520,25 +528,42 @@ class PolygonBatchResult:
     fallback_steps: np.ndarray
 
 
-def _step_draws(blocks):
-    """Draws ``(3, C)`` of each step of a chunk in order, then ``None`` for its final state."""
-    for raw in blocks:
-        yield from raw.transpose(1, 2, 0).copy()
-    yield None
+# Window rule of the batch engine.  A round draws the next W steps of every
+# active column, W = max(1, t // _WINDOW_GROWTH) with t the step count of the
+# slowest column: a step changes the state with probability of order 1/t, so
+# most windows pass without a change.  A column's window ends at the end of its
+# uniform block (the buffer is refilled in place), and a round holds at most
+# _WINDOW_ELEMENTS column-steps.
+_WINDOW_GROWTH = 8
+_WINDOW_ELEMENTS = 2**17
 
 
 def run_polygon_batch(
     k: int, n: int, replicas: int, seed: int, chunk: int = 16384
 ) -> PolygonBatchResult:
-    """Run independent polygon replicas, vectorized across replicas per step.
+    """Run independent polygon replicas, vectorized across replicas and steps.
 
     Replica ``r`` consumes the uniforms of ``RngStream(seed, r)`` in
-    trajectory order (three per step), and every step goes through the same
+    trajectory order (three per step), and every point comes from the same
     geometry kernel and fan sampler as :func:`polygon_step`, so each row
-    replays the scalar trajectory bit for bit.  All n + 1 states of a row
-    feed the accumulators; ``fallback_steps`` counts the states whose
-    candidate cycle had to be rebuilt from true supports (degenerate k-gons,
-    k >= 6) and ``min_slack`` is taken over the cycles actually used.
+    replays the scalar trajectory bit for bit.
+
+    The engine runs in rounds.  Each replica column keeps its own step
+    pointer; a round draws the next window of steps of every column from the
+    column's current geometry and finds the first step whose point raises an
+    offset, ``<p, q_i> - rho > o_i`` (the strict test under which the scalar
+    ``np.maximum`` changes ``o``).  A column without one advances the whole
+    window; a column whose first change is window step f advances f + 1
+    steps, takes that point's offsets, and only such columns go through
+    :func:`_cycles` again.  Windows follow ``_WINDOW_GROWTH`` and
+    ``_WINDOW_ELEMENTS``.
+
+    All n + 1 states of a row feed the accumulators.  An unchanged step
+    repeats the state, so it leaves the area, slack and residual extremes as
+    they are, adds 0 to ``max_height_rise`` and adds its state's flag to
+    ``fallback_steps``, which counts the states whose candidate cycle had to
+    be rebuilt from true supports (degenerate k-gons, k >= 6); ``min_slack``
+    is taken over the cycles actually used.
     """
     if k < 5:
         raise DomainError(f"k must be >= 5, got {k}")
@@ -556,31 +581,71 @@ def run_polygon_batch(
     fallback = np.zeros(replicas, dtype=int)
 
     for start, stop, blocks in replica_blocks(seed, replicas, n, 3, chunk):
-        o = np.full((k, stop - start), -rho)
+        c = stop - start
+        tight = np.zeros(c, dtype=bool)
         # views: the accumulators update their rows of the result in place
         sl_min, a_min, a_max, rise, falls = (
             a[start:stop] for a in (min_slack, area_min, area_max, max_rise, fallback)
         )
         resid = max_residual[start:stop] if is_pentagon else None
-        prev_heights = None
-        for u in _step_draws(blocks):
-            g = _cycles(o)
-            if g.tightened is not None:
-                falls += g.tightened
-            np.minimum(sl_min, g.slack, out=sl_min)
-            np.minimum(a_min, g.area, out=a_min)
-            np.maximum(a_max, g.area, out=a_max)
-            h = g.heights
+
+        def enter(cols, new: _Cycle):
+            """Feed the new states of columns ``cols`` to the accumulators."""
+            tight[cols] = False if new.tightened is None else new.tightened
+            falls[cols] += tight[cols]
+            sl_min[cols] = np.minimum(sl_min[cols], new.slack)
+            a_min[cols] = np.minimum(a_min[cols], new.area)
+            a_max[cols] = np.maximum(a_max[cols], new.area)
             if is_pentagon:
-                np.maximum(resid, np.abs(pentagon_residual(h.T)), out=resid)
-            if prev_heights is not None:
-                np.maximum(rise, (h - prev_heights).max(axis=0), out=rise)
-            prev_heights = h
-            if u is None:
-                break
-            px, py = _fan_points(g, u)
-            np.maximum(o, dirs[:, 0, None] * px + dirs[:, 1, None] * py - rho, out=o)
-        final_heights[start:stop] = h.T
+                resid[cols] = np.maximum(resid[cols], np.abs(pentagon_residual(new.heights.T)))
+
+        o = np.full((k, c), -rho)
+        g = _cycles(o)
+        enter(slice(None), g)
+        done = 0
+        for u in blocks:
+            width = u.shape[1]
+            pos = np.zeros(c, dtype=np.intp)
+            while (act := np.flatnonzero(pos < width)).size:
+                at = pos[act]
+                left = width - at
+                slowest = int(at.min())
+                budget = _WINDOW_ELEMENTS // act.size
+                wide = max(1, min(width - slowest, (done + slowest) // _WINDOW_GROWTH, budget))
+                steps = np.arange(wide)
+                draws = u[act[:, None], np.minimum(at[:, None] + steps, width - 1)]
+                px, py = _fan_points(
+                    _Cycle(*(a[..., act] for a in g[:-1]), None), draws.transpose(2, 0, 1)
+                )
+                # qx * px + qy * py - rho > o_i, in place: fresh temporaries of
+                # this size cost about as much as the arithmetic
+                lifts = np.zeros(px.shape, dtype=bool)
+                t, s, b = np.empty_like(px), np.empty_like(px), np.empty_like(lifts)
+                for (qx, qy), oi in zip(dirs, o[:, act]):
+                    np.multiply(qx, px, out=t)
+                    t += np.multiply(qy, py, out=s)
+                    t -= rho
+                    lifts |= np.greater(t, oi[:, None], out=b)
+                hit = lifts & (steps < left[:, None])
+                first = hit.argmax(axis=1)
+                moved = hit[np.arange(act.size), first]
+                kept = np.where(moved, first, np.minimum(left, wide))  # unchanged states entered
+                falls[act] += kept * tight[act]
+                rise[act] = np.where(kept > 0, np.maximum(rise[act], 0.0), rise[act])
+                pos[act] += kept + moved
+                rows = np.flatnonzero(moved)
+                if not rows.size:
+                    continue
+                cc = act[rows]
+                hx, hy = px[rows, first[rows]], py[rows, first[rows]]
+                o[:, cc] = np.maximum(o[:, cc], dirs[:, 0, None] * hx + dirs[:, 1, None] * hy - rho)
+                new = _cycles(o[:, cc])
+                enter(cc, new)
+                rise[cc] = np.maximum(rise[cc], (new.heights - g.heights[:, cc]).max(axis=0))
+                for whole, part in zip(g[:-1], new[:-1]):
+                    whole[..., cc] = part
+            done += width
+        final_heights[start:stop] = g.heights.T
         final_area[start:stop] = g.area
     if np.any(final_area <= 0.0):
         raise StateCorruptionError("a replica degenerated to nonpositive area")

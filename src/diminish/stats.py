@@ -78,8 +78,8 @@ class RunConfig:
             raise ConfigurationError(f"replicas must be >= 1, got {self.replicas}")
         if not 0.0 <= self.c <= 1.0:
             raise ConfigurationError(f"c must lie in [0, 1], got {self.c}")
-        if not self.delta > 0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ConfigurationError(f"delta must be positive and finite, got {self.delta}")
         if self.process in ("cube", "simplex") and self.d < 1:
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
         if self.process == "polygon" and self.k < 5:

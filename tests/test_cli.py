@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 
 import pytest
 
 from diminish.cli import emit_csv, main, parse_config
 from diminish.errors import ConfigurationError
+from diminish.stats import RunConfig
 from diminish import verification
 from diminish.verification import CheckResult
 
@@ -72,6 +74,14 @@ class TestParseConfig:
         cfg = {"process": "interval", "n": 10, "replicas": 1, key: value}
         with pytest.raises(ConfigurationError, match=f"config key '{key}' must be"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("key", ["c", "delta"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_is_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"^{key} must"):
+            parse_config({"process": "interval", "n": 10, "replicas": 2, key: value})
+        with pytest.raises(ConfigurationError, match=f"^{key} must"):
+            RunConfig(process="interval", n=10, replicas=2, seed=1, **{key: value}).validate()
 
     def test_integral_float_is_accepted(self):
         cfg = parse_config(
@@ -251,6 +261,14 @@ class TestCommands:
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--process", "interval", "--n", "5", "--out", str(out)]) == 1
         assert "DIMINISH_SEED must be an integer" in capsys.readouterr().err
+
+    def test_infinite_delta_in_config_file_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text('{"process": "interval", "n": 10, "replicas": 2, "delta": Infinity}')
+        out = tmp_path / "samples.csv"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+        assert "delta must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -199,7 +200,9 @@ class TestRepresentationConsistency:
         assert ks_stat(centers, cdf_callable(arcsine())) <= 0.02
         assert ks_stat(series, cdf_callable(arcsine())) <= 0.02
 
-    @pytest.mark.parametrize("c,delta", [(0.5, -1.0), (0.5, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "c,delta", [(0.5, -1.0), (0.5, 0.0), (0.5, math.inf), (0.5, math.nan), (0.0, 1.0), (1.0, 1.0)]
+    )
     def test_perpetuity_rejects_bad_law(self, c, delta):
         with pytest.raises(DomainError):
             perpetuity_step(np.zeros(4), RngStream(11, 0), c, delta)

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diminish import distributions
 from diminish.distributions import RngStream
 from diminish.errors import DomainError, StateCorruptionError
 from diminish.oracle import _clip_edge, clip_convex_by_convex, match_point_sets, shoelace_area
 from diminish.polygon import (
     GOLDEN_C,
+    PolygonBatchResult,
     PolygonState,
+    _state_cycle,
     apply_polygon_point,
     bound_constants,
     change_region_membership,
@@ -37,16 +40,34 @@ def reduced_regular_pentagon(excess: float) -> PolygonState:
 
 
 def assert_rows_replay(k: int, n: int, replicas: int, seed: int, chunk: int):
+    """Every field of each batch row equals its value recomputed from the scalar
+    trajectory's n + 1 states on stream ``(seed, r)``."""
     res = run_polygon_batch(k, n, replicas, seed=seed, chunk=chunk)
+    assert (res.max_residual is None) == (k != 5)
     for r in range(replicas):
         rng = RngStream(seed, r)
-        s = polygon_new(k)
+        states = [polygon_new(k)]
         for _ in range(n):
-            s = polygon_step(s, rng)
-        snap = snapshot(s)
+            states.append(polygon_step(states[-1], rng))
+        cycles = [_state_cycle(s) for s in states]
+        heights = np.array([g.heights[:, 0] for g in cycles])
+        area = np.array([g.area[0] for g in cycles])
+        snap = snapshot(states[-1])
         assert np.array_equal(snap.heights, res.final_heights[r]), (k, r)
         assert snap.area == res.final_area[r], (k, r)
+        assert area.min() == res.area_min[r] and area.max() == res.area_max[r], (k, r)
+        assert min(g.slack[0] for g in cycles) == res.min_slack[r], (k, r)
+        assert np.diff(heights, axis=0).max() == res.max_height_rise[r], (k, r)
+        assert sum(g.tightened is not None for g in cycles) == res.fallback_steps[r], (k, r)
+        if k == 5:
+            assert np.abs(pentagon_residual(heights)).max() == res.max_residual[r], r
     return res
+
+
+def assert_same_batch(a: PolygonBatchResult, b: PolygonBatchResult):
+    for name in PolygonBatchResult.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
 
 
 def octagon_with_redundant_side():
@@ -231,6 +252,21 @@ class TestStep:
         assert fallback_rows[5] == 0
         # rows through the degenerate path replay too
         assert all(fallback_rows[k] > 0 for k in (7, 8, 9)), fallback_rows
+        # in short rows every change can lower all heights; a row's rise of 0
+        # then comes from its unchanged steps alone
+        res = assert_rows_replay(5, 3, 40, seed=40, chunk=7)
+        assert (res.max_height_rise == 0.0).any() and (res.max_height_rise < 0.0).any()
+
+    @pytest.mark.parametrize("k", [5, 8, 9])
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    def test_batch_replays_across_block_edges(self, monkeypatch, k, width):
+        # blocks of `width` steps: windows, which reach t // 8 steps, are cut at
+        # every block edge, and a column's pointer restarts in each block
+        n, replicas, chunk = 120, 6, 3
+        whole = run_polygon_batch(k, n, replicas, seed=44, chunk=chunk)
+        assert (whole.fallback_steps.sum() > 0) == (k > 5)
+        monkeypatch.setattr(distributions, "_BLOCK_BYTES", width * chunk * 3 * 8)
+        assert_same_batch(assert_rows_replay(k, n, replicas, 44, chunk), whole)
 
     @settings(max_examples=12, deadline=None)
     @given(
