@@ -20,6 +20,7 @@ from .errors import ConfigurationError, DomainError
 __all__ = [
     "RngStream",
     "replica_blocks",
+    "window_rounds",
     "DfForm",
     "LawSpec",
     "df_form_cdf",
@@ -105,6 +106,8 @@ def replica_blocks(
     """
     if n < 1 or replicas < 1:
         raise DomainError("n and replicas must be >= 1")
+    if chunk < 1:
+        raise DomainError(f"chunk must be >= 1, got {chunk}")
     return _replica_chunks(seed, replicas, n, draws, chunk, path)
 
 
@@ -117,12 +120,86 @@ def _replica_chunks(seed, replicas, n, draws, chunk, path):
 
 def _stream_blocks(streams: list[RngStream], n: int, draws: int):
     block = max(1, min(n, int(_BLOCK_BYTES / (len(streams) * draws * 8))))
-    u = np.empty((len(streams), block, draws))
+    buffer = np.empty(len(streams) * block * draws)
     for done in range(0, n, block):
         width = min(block, n - done)
+        u = buffer[: len(streams) * width * draws].reshape(len(streams), width, draws)
         for i, s in enumerate(streams):
-            u[i, :width] = s.uniform((width, draws))
-        yield u[:, :width]
+            u[i] = s.uniform((width, draws))
+        yield u
+
+
+# Window rule of the windowed batch engines.  A round draws the next W steps of
+# every active column, W = max(1, t // _WINDOW_GROWTH) with t the step count of
+# the slowest column: a step changes the state with probability of order 1/t, so
+# most windows pass without a change.  A column's window ends at the end of its
+# uniform block (the buffer is refilled in place), and a round holds at most
+# _WINDOW_ELEMENTS column-steps.
+_WINDOW_GROWTH = 8
+_WINDOW_ELEMENTS = 2**17
+
+
+class Window:
+    """One round of :func:`window_rounds`: the next steps of the active columns.
+
+    ``draws[i, j]`` holds the draws of window step ``j`` of column ``act[i]``.
+    Slots past the column's block end hold other draws; :meth:`advance`
+    ignores them.  ``draws`` is a round buffer, valid until the next round.
+    """
+
+    __slots__ = ("act", "draws", "_left", "_pos")
+
+    def __init__(self, act, draws, left, pos):
+        self.act, self.draws, self._left, self._pos = act, draws, left, pos
+
+    def advance(self, hit):
+        """Move every column past its first hit, or past its whole window.
+
+        ``hit[i, j]`` says that step ``j`` of column ``act[i]`` changes the
+        state.  Returns ``(first, moved, kept)``: ``moved[i]`` says the column
+        hit, at window step ``first[i]``; ``kept[i]`` counts the unchanged
+        steps it passes, so the column moves on by ``kept + moved`` steps.
+        """
+        first = hit.argmax(axis=1)
+        # a first hit past the block end means no hit inside it
+        moved = hit[np.arange(first.size), first] & (first < self._left)
+        kept = np.where(moved, first, np.minimum(self._left, hit.shape[1]))
+        self._pos[self.act] += kept + moved
+        return first, moved, kept
+
+
+def window_rounds(blocks, columns: int):
+    """Rounds of a windowed engine over the blocks of one ``replica_blocks`` chunk.
+
+    Each column keeps its own step pointer.  A round yields a :class:`Window`
+    with the next W steps of every column not yet at its block end, W set by
+    ``_WINDOW_GROWTH`` and ``_WINDOW_ELEMENTS``; the engine tests them for a
+    change and must call :meth:`Window.advance` before asking for the next
+    round, or the columns never move.  A row then sees every step of its
+    trajectory in order, so an engine that applies each first hit exactly as
+    its scalar step would replays that step bit for bit.  The draws are
+    gathered into buffers allocated once per block: fresh arrays of a
+    round's size cost about as much as its arithmetic.
+    """
+    cap = max(_WINDOW_ELEMENTS, columns)
+    done = 0
+    for u in blocks:
+        width, draws = u.shape[1:]
+        steps = u.reshape(-1, draws)  # row i * width + t: step t of column i
+        index, gathered = np.empty(cap, dtype=np.intp), np.empty((cap, draws))
+        pos = np.zeros(columns, dtype=np.intp)
+        while (act := np.flatnonzero(pos < width)).size:
+            at = pos[act]
+            slowest = int(at.min())
+            budget = _WINDOW_ELEMENTS // act.size
+            wide = max(1, min(width - slowest, (done + slowest) // _WINDOW_GROWTH, budget))
+            size = act.size * wide
+            idx = index[:size].reshape(act.size, wide)
+            np.add((act * width + at)[:, None], np.arange(wide), out=idx)
+            out = gathered[:size].reshape(act.size, wide, draws)
+            # "clip" keeps the last column's overrun inside the block
+            yield Window(act, np.take(steps, idx, axis=0, out=out, mode="clip"), width - at, pos)
+        done += width
 
 
 # ---------------------------------------------------------------------------
@@ -151,33 +228,54 @@ class DfForm:
             raise DomainError(f"shape exponent delta must be positive and finite, got {self.delta}")
 
 
+def _branchwise(arg, edge: float, low, high, domain: str):
+    """Evaluate ``low`` on the elements of ``arg`` up to ``edge`` and ``high`` above it.
+
+    ``arg`` must lie in [0, 1] (else :class:`DomainError` with ``domain``).
+    Each element goes through its own branch only, so the other branch can
+    neither overflow nor divide by zero.  A scalar is a one-element array, so
+    it takes the same power kernel as the batch engines.
+    """
+    if arg.ndim == 0:
+        v = float(arg)
+        if v < 0.0 or v > 1.0:
+            raise DomainError(domain)
+        return float((low if v <= edge else high)(arg.reshape(1))[0])
+    if np.any((arg < 0.0) | (arg > 1.0)):
+        raise DomainError(domain)
+    lower = arg <= edge
+    out = np.empty(arg.shape)
+    out[lower] = low(arg[lower])
+    upper = ~lower
+    out[upper] = high(arg[upper])
+    return out
+
+
 def df_form_cdf(x, f: DfForm):
     """CDF of the two-branch family; both branches evaluate to ``c`` at 1/2."""
-    arr = np.asarray(x, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)):
-        raise DomainError("df_form_cdf is defined on [0, 1]")
-    lower = f.c * (2.0 * arr) ** f.delta
-    upper = 1.0 - (1.0 - f.c) * (2.0 * (1.0 - arr)) ** f.delta
-    out = np.where(arr <= 0.5, lower, upper)
-    return float(out) if out.ndim == 0 else out
+    return _branchwise(
+        np.asarray(x, dtype=float),
+        0.5,
+        lambda a: f.c * (2.0 * a) ** f.delta,
+        lambda a: 1.0 - (1.0 - f.c) * (2.0 * (1.0 - a)) ** f.delta,
+        "df_form_cdf is defined on [0, 1]",
+    )
 
 
 def df_form_ppf(u, f: DfForm):
-    """Inverse CDF.  Uniform input below ``c`` maps to the lower branch."""
-    arr = np.asarray(u, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)):
-        raise DomainError("quantile argument must lie in [0, 1]")
+    """Inverse CDF.  Uniform input up to ``c`` maps to the lower branch.
+
+    At ``c = 0`` the lower branch is empty: ``u = 0`` maps to 1/2 through the
+    upper one.
+    """
     inv = 1.0 / f.delta
-    if f.c == 0.0:
-        out = 1.0 - 0.5 * (1.0 - arr) ** inv
-    elif f.c == 1.0:
-        out = 0.5 * arr**inv
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lower = 0.5 * (arr / f.c) ** inv
-            upper = 1.0 - 0.5 * ((1.0 - arr) / (1.0 - f.c)) ** inv
-        out = np.where(arr <= f.c, lower, upper)
-    return float(out) if out.ndim == 0 else out
+    return _branchwise(
+        np.asarray(u, dtype=float),
+        f.c if f.c > 0.0 else -1.0,
+        lambda a: 0.5 * (a / f.c) ** inv,
+        lambda a: 1.0 - 0.5 * ((1.0 - a) / (1.0 - f.c)) ** inv,
+        "quantile argument must lie in [0, 1]",
+    )
 
 
 def df_form_sample(rng: RngStream, f: DfForm, size=None):

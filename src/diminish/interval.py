@@ -13,6 +13,12 @@ the full step consumes one uniform per step.  A thinned step, series term or
 perpetuity update takes a ``(2, ...)`` block, signs then multipliers, with
 ``xi = +1`` iff the sign uniform is below ``1 - c`` and ``V = U**(1/delta)``;
 the scalar step and sampler are one-slot calls of the batch code.
+
+The full batch runner does not evaluate every step.  A step keeps the
+interval exactly when its quantile lies in ``[1 - 1/(2r), 1/(2r)]``, which
+is a band of raw uniforms, so each replica screens a window of uniforms
+against its band and jumps to the first one outside it; only that one goes
+through the quantile and the exact update (see :func:`run_full_batch`).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DfForm, RngStream, df_form_ppf, replica_blocks
+from .distributions import DfForm, RngStream, df_form_ppf, replica_blocks, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -204,6 +210,26 @@ def perpetuity_step(z, rng: RngStream, c: float, delta: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _keep_band(r, law: DfForm):
+    """Open band ``(lo, hi)`` of uniforms whose step keeps an interval of radius ``r``.
+
+    The step keeps the interval exactly when ``x = ppf(u)`` lies in
+    ``[1 - 1/(2r), 1/(2r)]``, whatever the center.  The band is that range
+    pulled in by ``eta = 1e-12 max(1, 1/delta)`` in x and mapped through the
+    CDF branch on its side of 1/2: ``lo = c (2 xl)^delta`` with
+    ``xl = min(1 - 1/(2r) + eta, 1/2)`` and ``hi = 1 - (1-c) (2 (1 - xh))^delta``
+    with ``xh = max(1/(2r) - eta, 1/2)``.  Neither power exceeds 1, so
+    nothing overflows.  Within about 2 eta of r = 1 both edges clamp to 1/2:
+    the band is ``(c, c)`` up to the rounding of ``1 - (1 - c)``, and a
+    uniform in that sliver has the quantile 1/2 exactly, which keeps.
+    """
+    eta = 1e-12 * max(1.0, 1.0 / law.delta)
+    half = 0.5 / r
+    lo = law.c * (2.0 * np.minimum(1.0 - half + eta, 0.5)) ** law.delta
+    hi = 1.0 - (1.0 - law.c) * (2.0 * (1.0 - np.maximum(half - eta, 0.5))) ** law.delta
+    return lo, hi
+
+
 def run_full_batch(
     law: DfForm,
     n: int,
@@ -212,28 +238,54 @@ def run_full_batch(
     path: tuple[int, ...] = (),
     chunk: int = 8192,
 ):
-    """Run independent replicas of the full process, vectorized per step.
+    """Run independent replicas of the full process, vectorized across replicas and steps.
 
     Replica ``r`` consumes exactly the uniforms of ``RngStream(seed, r, path)``
     in trajectory order, so each row reproduces the scalar :func:`step_full`
     trajectory for the same stream.  Returns ``(radii, centers)``.
+
+    The engine screens steps on their raw uniforms.  A step whose uniform
+    lies strictly inside its column's :func:`_keep_band` leaves the interval
+    as it is; the rounds of :func:`~diminish.distributions.window_rounds`
+    move each column to its first step outside the band (a candidate).  Only
+    a candidate goes through :func:`df_form_ppf` and the exact update of
+    :func:`apply_full_step`; a candidate that the exact test keeps is an
+    unchanged step, and a change recomputes its column's band.
+
+    The screen is sound because its margin sits in x, not in u.  A uniform
+    inside the band has a quantile at least ``eta`` inside the keep range up
+    to the rounding of the ppf.  That rounding is a few ulp of the power's
+    argument, scaled by ``1/delta`` through the power (hence the ``1/delta``
+    in eta), and the keep test ``p = z - r + 2 r x`` against ``z +- r`` adds
+    a few ulp of 1; eta = 1e-12 covers both by orders of magnitude.  A fixed
+    margin in u is not enough: near ``r = 1/2`` the band edges sit at
+    ``x ~ 2 (r - 1/2)``, where the CDF's slope ``delta u / x`` is large, so
+    1e-9 in u can shrink below the keep test's rounding in x.
     """
-    chunks = replica_blocks(seed, replicas, n, 1, chunk, path)
     radii = np.empty(replicas)
     centers = np.empty(replicas)
-    for start, stop, blocks in chunks:
+    for start, stop, blocks in replica_blocks(seed, replicas, n, 1, chunk, path):
         z = np.zeros(stop - start)
         r = np.ones(stop - start)
-        for u in blocks:
-            x = df_form_ppf(u[:, :, 0], law)
-            for t in range(x.shape[1]):
-                xt = x[:, t]
-                p = z - r + 2.0 * r * xt
-                keep = (p - 1.0 <= z - r) & (p + 1.0 >= z + r)
-                lo = np.maximum(z - r, p - 1.0)
-                hi = np.minimum(z + r, p + 1.0)
-                z = np.where(keep, z, 0.5 * (lo + hi))
-                r = np.where(keep, r, 0.5 * (hi - lo))
+        lo, hi = _keep_band(r, law)
+        for w in window_rounds(blocks, stop - start):
+            u = w.draws[..., 0]
+            hit = (u <= lo[w.act, None]) | (u >= hi[w.act, None])
+            first, moved, _ = w.advance(hit)
+            rows = np.flatnonzero(moved)
+            if not rows.size:
+                continue
+            cc = w.act[rows]
+            x = df_form_ppf(u[rows, first[rows]], law)
+            zc, rc = z[cc], r[cc]
+            p = zc - rc + 2.0 * rc * x
+            change = (p - 1.0 > zc - rc) | (p + 1.0 < zc + rc)
+            cc, zc, rc, p = cc[change], zc[change], rc[change], p[change]
+            a = np.maximum(zc - rc, p - 1.0)
+            b = np.minimum(zc + rc, p + 1.0)
+            z[cc] = 0.5 * (a + b)
+            r[cc] = 0.5 * (b - a)
+            lo[cc], hi[cc] = _keep_band(r[cc], law)
         radii[start:stop] = r
         centers[start:stop] = z
     return radii, centers

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import RngStream, replica_blocks
+from .distributions import RngStream, replica_blocks, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -528,16 +528,6 @@ class PolygonBatchResult:
     fallback_steps: np.ndarray
 
 
-# Window rule of the batch engine.  A round draws the next W steps of every
-# active column, W = max(1, t // _WINDOW_GROWTH) with t the step count of the
-# slowest column: a step changes the state with probability of order 1/t, so
-# most windows pass without a change.  A column's window ends at the end of its
-# uniform block (the buffer is refilled in place), and a round holds at most
-# _WINDOW_ELEMENTS column-steps.
-_WINDOW_GROWTH = 8
-_WINDOW_ELEMENTS = 2**17
-
-
 def run_polygon_batch(
     k: int, n: int, replicas: int, seed: int, chunk: int = 16384
 ) -> PolygonBatchResult:
@@ -555,8 +545,8 @@ def run_polygon_batch(
     ``np.maximum`` changes ``o``).  A column without one advances the whole
     window; a column whose first change is window step f advances f + 1
     steps, takes that point's offsets, and only such columns go through
-    :func:`_cycles` again.  Windows follow ``_WINDOW_GROWTH`` and
-    ``_WINDOW_ELEMENTS``.
+    :func:`_cycles` again.  The rounds are those of
+    :func:`~diminish.distributions.window_rounds`.
 
     All n + 1 states of a row feed the accumulators.  An unchanged step
     repeats the state, so it leaves the area, slack and residual extremes as
@@ -602,49 +592,34 @@ def run_polygon_batch(
         o = np.full((k, c), -rho)
         g = _cycles(o)
         enter(slice(None), g)
-        done = 0
-        for u in blocks:
-            width = u.shape[1]
-            pos = np.zeros(c, dtype=np.intp)
-            while (act := np.flatnonzero(pos < width)).size:
-                at = pos[act]
-                left = width - at
-                slowest = int(at.min())
-                budget = _WINDOW_ELEMENTS // act.size
-                wide = max(1, min(width - slowest, (done + slowest) // _WINDOW_GROWTH, budget))
-                steps = np.arange(wide)
-                draws = u[act[:, None], np.minimum(at[:, None] + steps, width - 1)]
-                px, py = _fan_points(
-                    _Cycle(*(a[..., act] for a in g[:-1]), None), draws.transpose(2, 0, 1)
-                )
-                # qx * px + qy * py - rho > o_i, in place: fresh temporaries of
-                # this size cost about as much as the arithmetic
-                lifts = np.zeros(px.shape, dtype=bool)
-                t, s, b = np.empty_like(px), np.empty_like(px), np.empty_like(lifts)
-                for (qx, qy), oi in zip(dirs, o[:, act]):
-                    np.multiply(qx, px, out=t)
-                    t += np.multiply(qy, py, out=s)
-                    t -= rho
-                    lifts |= np.greater(t, oi[:, None], out=b)
-                hit = lifts & (steps < left[:, None])
-                first = hit.argmax(axis=1)
-                moved = hit[np.arange(act.size), first]
-                kept = np.where(moved, first, np.minimum(left, wide))  # unchanged states entered
-                falls[act] += kept * tight[act]
-                rise[act] = np.where(kept > 0, np.maximum(rise[act], 0.0), rise[act])
-                pos[act] += kept + moved
-                rows = np.flatnonzero(moved)
-                if not rows.size:
-                    continue
-                cc = act[rows]
-                hx, hy = px[rows, first[rows]], py[rows, first[rows]]
-                o[:, cc] = np.maximum(o[:, cc], dirs[:, 0, None] * hx + dirs[:, 1, None] * hy - rho)
-                new = _cycles(o[:, cc])
-                enter(cc, new)
-                rise[cc] = np.maximum(rise[cc], (new.heights - g.heights[:, cc]).max(axis=0))
-                for whole, part in zip(g[:-1], new[:-1]):
-                    whole[..., cc] = part
-            done += width
+        for w in window_rounds(blocks, c):
+            act = w.act
+            px, py = _fan_points(
+                _Cycle(*(a[..., act] for a in g[:-1]), None), w.draws.transpose(2, 0, 1)
+            )
+            # qx * px + qy * py - rho > o_i, in place: fresh temporaries of
+            # this size cost about as much as the arithmetic
+            lifts = np.zeros(px.shape, dtype=bool)
+            t, s, b = np.empty_like(px), np.empty_like(px), np.empty_like(lifts)
+            for (qx, qy), oi in zip(dirs, o[:, act]):
+                np.multiply(qx, px, out=t)
+                t += np.multiply(qy, py, out=s)
+                t -= rho
+                lifts |= np.greater(t, oi[:, None], out=b)
+            first, moved, kept = w.advance(lifts)  # kept: unchanged states entered
+            falls[act] += kept * tight[act]
+            rise[act] = np.where(kept > 0, np.maximum(rise[act], 0.0), rise[act])
+            rows = np.flatnonzero(moved)
+            if not rows.size:
+                continue
+            cc = act[rows]
+            hx, hy = px[rows, first[rows]], py[rows, first[rows]]
+            o[:, cc] = np.maximum(o[:, cc], dirs[:, 0, None] * hx + dirs[:, 1, None] * hy - rho)
+            new = _cycles(o[:, cc])
+            enter(cc, new)
+            rise[cc] = np.maximum(rise[cc], (new.heights - g.heights[:, cc]).max(axis=0))
+            for whole, part in zip(g[:-1], new[:-1]):
+                whole[..., cc] = part
         final_heights[start:stop] = g.heights.T
         final_area[start:stop] = g.area
     if np.any(final_area <= 0.0):

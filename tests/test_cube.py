@@ -69,3 +69,18 @@ class TestBatch:
                 assert np.array_equal(excess[r], row_excess)
                 assert np.array_equal(centers[r], cent[-1])
                 assert scaled_max[r] == row_excess.max()
+
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    def test_batch_replays_across_block_edges(self, monkeypatch, width):
+        from diminish import distributions
+
+        d, n, replicas, chunk = 3, 120, 4, 3
+        whole = cube_run_batch(d, n, replicas, seed=27, chunk=chunk)
+        monkeypatch.setattr(distributions, "_BLOCK_BYTES", width * chunk * 8)
+        cut = cube_run_batch(d, n, replicas, seed=27, chunk=chunk)
+        for a, b in zip(cut, whole):
+            assert a.tobytes() == b.tobytes()
+        for r in range(replicas):
+            cent, radii = cube_trajectory(d, n, RngStream(27, r))
+            assert np.array_equal(cut[1][r], 2.0 * n * (2.0 * radii[-1] - 1.0))
+            assert np.array_equal(cut[2][r], cent[-1])

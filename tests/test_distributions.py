@@ -24,6 +24,7 @@ from diminish.distributions import (
     simplex_height_sample,
     weibull,
     LawSpec,
+    replica_blocks,
 )
 from diminish.errors import ConfigurationError, DomainError
 from diminish.stats import ks_stat, ks_two_sample
@@ -51,6 +52,26 @@ class TestRngStream:
         s = RngStream(11, 0)
         singles = [s.uniform() for _ in range(6)]
         assert np.allclose(block, singles, rtol=0, atol=0)
+
+
+class TestReplicaBlocks:
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected(self, chunk):
+        from diminish.cube import cube_run_batch
+        from diminish.interval import run_full_batch
+        from diminish.polygon import run_polygon_batch
+        from diminish.simplex import run_simplex_batch
+
+        runs = [
+            lambda: replica_blocks(1, 4, 10, 1, chunk),
+            lambda: run_full_batch(DfForm(0.5, 1.0), 10, 4, 1, chunk=chunk),
+            lambda: run_simplex_batch(2, 10, 4, 1, chunk=chunk),
+            lambda: run_polygon_batch(5, 10, 4, 1, chunk=chunk),
+            lambda: cube_run_batch(2, 10, 4, 1, chunk=chunk),
+        ]
+        for run in runs:
+            with pytest.raises(DomainError, match="chunk"):
+                run()
 
 
 class TestDfForm:
@@ -118,6 +139,26 @@ class TestDfForm:
     def test_ppf_round_trip_interior(self, c, delta, u):
         f = DfForm(c, delta)
         assert df_form_cdf(df_form_ppf(u, f), f) == pytest.approx(u, abs=1e-11)
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("delta", [0.02, 0.3, 2.0, 3.0, 50.0])
+    def test_scalar_is_one_element_array(self, c, delta):
+        # a scalar goes through the array power kernel; np.float64 power
+        # differs from it in the last bit on about 6% of draws at exponent 0.02
+        f = DfForm(c, delta)
+        u = RngStream(5).uniform(400)
+        assert [df_form_ppf(v, f) for v in u] == list(df_form_ppf(u, f))
+        x = df_form_ppf(u, f)
+        assert [df_form_cdf(v, f) for v in x] == list(df_form_cdf(x, f))
+
+    def test_unused_branch_is_not_evaluated(self):
+        # the other branch would overflow (1.8**2000, (0.5 / 1e-9)**100) or
+        # divide 0 by 0; RuntimeWarnings fail the tests
+        assert df_form_cdf(0.9, DfForm(0.5, 2000.0)) == 1.0
+        assert df_form_cdf(np.array([0.1, 0.9]), DfForm(0.5, 2000.0)).tolist() == [0.0, 1.0]
+        assert 0.5 <= df_form_ppf(0.5, DfForm(1e-9, 0.01)) <= 1.0
+        assert df_form_ppf(0.0, DfForm(0.0, 2.0)) == 0.5
+        assert df_form_ppf(1.0, DfForm(1.0, 2.0)) == 0.5
 
     def test_degenerate_endpoints(self):
         rng = RngStream(1)

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diminish
+from diminish import distributions
 from diminish.distributions import (
     DfForm,
+    df_form_ppf,
     RngStream,
     arcsine,
     beta_law,
@@ -22,6 +24,7 @@ from diminish.errors import DomainError
 from diminish.interval import (
     IntervalState,
     ThinnedIntervalState,
+    _keep_band,
     apply_full_step,
     apply_thinned_step,
     center_series_batch,
@@ -214,14 +217,63 @@ class TestRepresentationConsistency:
         assert ks_two_sample(z, z_next) <= 0.02
 
 
+def assert_rows_replay(law, n, replicas, seed, chunk):
+    radii, centers = run_full_batch(law, n, replicas, seed=seed, chunk=chunk)
+    for r in range(replicas):
+        s = interval_new(law)
+        rng = RngStream(seed, r)
+        for _ in range(n):
+            s = step_full(s, rng)
+        assert (s.radius, s.center) == (radii[r], centers[r]), (law, r)
+    return radii, centers
+
+
 class TestRunScaled:
     def test_batch_rows_replay_scalar_trajectories(self):
-        law = DfForm(0.3, 2.0)
-        radii, centers = run_full_batch(law, 400, 6, seed=13, chunk=4)
-        for r in range(6):
-            s = interval_new(law)
-            rng = RngStream(13, r)
-            for _ in range(400):
-                s = step_full(s, rng)
-            assert s.radius == radii[r]
-            assert s.center == centers[r]
+        # delta = 2 takes the sqrt fast path of the power; the others take the
+        # general power kernel, where a np.float64 scalar power can differ
+        # from the array one in the last bit
+        for law in (DfForm(0.3, 2.0), DfForm(0.5, 0.3), DfForm(0.5, 3.0), DfForm(0.5, 50.0)):
+            assert_rows_replay(law, 400, 6, 13, 4)
+
+
+class TestScreen:
+    """The screened window engine: raw-uniform band, candidates, block edges."""
+
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    @pytest.mark.parametrize("c", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("delta", [0.01, 0.2, 1.0, 3.0, 50.0])
+    def test_rows_replay_across_block_edges(self, monkeypatch, width, c, delta):
+        law, n, replicas, chunk = DfForm(c, delta), 150, 5, 3
+        whole = run_full_batch(law, n, replicas, seed=31, chunk=chunk)
+        monkeypatch.setattr(distributions, "_BLOCK_BYTES", width * chunk * 8)
+        for a, b in zip(assert_rows_replay(law, n, replicas, 31, chunk), whole):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c=st.sampled_from([0.0, 1e-9, 0.3, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+        log_delta=st.floats(-3.0, math.log10(500.0)),
+        # log-uniform excess reaches r within 1e-16 of 1/2, where the band is
+        # thinnest; the last range puts r within 1e-9 of 1
+        excess=st.floats(-16.0, math.log10(0.5)).map(lambda t: 10.0**t)
+        | st.sampled_from([0.0, 0.5])
+        | st.floats(0.5 - 1e-9, 0.5),
+        inner=st.floats(0.0, 1.0),
+    )
+    # a margin of 1e-9 in u instead of eta in x lets both of these change
+    @example(c=0.0, log_delta=-1.0, excess=1e-12, inner=0.0)
+    @example(c=0.3, log_delta=-1.0, excess=0.0, inner=0.0)
+    def test_uniforms_inside_the_band_keep_the_interval(self, c, log_delta, excess, inner):
+        # both edges and their next doubles inward, one interior point, and
+        # centers across the whole range the radius allows
+        law = DfForm(c, 10.0**log_delta)
+        r = 0.5 + excess
+        lo, hi = (e.item() for e in _keep_band(np.array([r]), law))
+        second = np.nextafter(np.nextafter(lo, 1.0), 1.0), np.nextafter(np.nextafter(hi, 0.0), 0.0)
+        us = [np.nextafter(lo, 1.0), np.nextafter(hi, 0.0), *second, lo + inner * (hi - lo)]
+        xs = [df_form_ppf(u, law) for u in us if lo < u < hi]
+        for center in np.linspace(-1.0, 1.0, 17) * (1.0 - r):
+            s = IntervalState(center, r, law)
+            for x in xs:
+                assert apply_full_step(s, x) is s, (center, x)
