@@ -6,8 +6,8 @@ process.  No native d-dimensional sampler exists here by design; axis ``a``
 of replica stream ``rng`` always draws from ``rng.substream(a)``, which makes
 axis assignment a pure relabeling of sub-streams.  The batch runner is one
 :func:`~diminish.interval.run_full_batch` call per axis on paths ``(a,)``, so
-it inherits the screened window engine and its replay contract: batch row
-``r`` equals :func:`cube_trajectory` on ``RngStream(seed, r)`` bit for bit.
+it inherits the screened window engine, its chunk size and its replay contract:
+batch row ``r`` equals :func:`cube_trajectory` on ``RngStream(seed, r)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -39,20 +39,18 @@ def cube_trajectory(d: int, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndar
     return centers, radii
 
 
-def cube_run_batch(d: int, n: int, replicas: int, seed: int, chunk: int | None = None):
+def cube_run_batch(d: int, n: int, replicas: int, seed: int):
     """Vectorized replicas; axis ``a`` of replica ``r`` draws stream ``(seed, r, a)``.
 
     Returns ``(scaled_max, edge_excess, centers)`` with shapes
-    ``(replicas,)``, ``(replicas, d)``, ``(replicas, d)``.  ``chunk`` defaults
-    to :func:`~diminish.interval.run_full_batch`'s.
+    ``(replicas,)``, ``(replicas, d)``, ``(replicas, d)``.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    chunking = {} if chunk is None else {"chunk": chunk}
     excess = np.empty((replicas, d))
     centers = np.empty((replicas, d))
     for a in range(d):
-        radii, cent = run_full_batch(UNIFORM_LAW, n, replicas, seed, path=(a,), **chunking)
+        radii, cent = run_full_batch(UNIFORM_LAW, n, replicas, seed, path=(a,))
         excess[:, a] = 2.0 * n * (2.0 * radii - 1.0)
         centers[:, a] = cent
     return excess.max(axis=1), excess, centers

@@ -353,11 +353,11 @@ def simplex_height(d: int) -> LawSpec:
     return LawSpec("simplex_height", (float(d),))
 
 
-def law_eval(law: LawSpec, x, *, density: bool = False):
-    """Analytic CDF of ``law`` at ``x`` (PDF with ``density=True``).
+def law_eval(law: LawSpec, x):
+    """Analytic CDF of ``law`` at ``x``.
 
-    The symmetric Dirichlet has no scalar CDF; it always evaluates its joint
-    density at a simplex point.
+    The symmetric Dirichlet has no scalar CDF; it evaluates its joint
+    density at a simplex point instead.
     """
     if law.kind == "dirichlet_sym":
         dim, a = int(law.params[0]), law.params[1]
@@ -367,49 +367,25 @@ def law_eval(law: LawSpec, x, *, density: bool = False):
         (delta,) = law.params
         xp = np.maximum(arr, 0.0)
         out = np.where(arr > 0.0, -np.expm1(-(xp**delta)), 0.0)
-        pdf = np.where(arr > 0.0, delta * xp ** (delta - 1.0) * np.exp(-(xp**delta)), 0.0)
     elif law.kind == "exp1":
         out = np.where(arr > 0.0, -np.expm1(-np.maximum(arr, 0.0)), 0.0)
-        pdf = np.where(arr > 0.0, np.exp(-np.maximum(arr, 0.0)), 0.0)
     elif law.kind == "max_exp":
         (d,) = law.params
         out = np.where(arr > 0.0, (-np.expm1(-np.maximum(arr, 0.0))) ** d, 0.0)
-        pdf = np.where(
-            arr > 0.0,
-            d * (-np.expm1(-np.maximum(arr, 0.0))) ** (d - 1.0) * np.exp(-np.maximum(arr, 0.0)),
-            0.0,
-        )
     elif law.kind == "beta":
         a, b = law.params
         clipped = np.clip(arr, 0.0, 1.0)
         out = special.betainc(a, b, clipped)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pdf = np.where(
-                (arr > 0.0) & (arr < 1.0),
-                np.exp(
-                    (a - 1.0) * np.log(np.clip(arr, 1e-300, None))
-                    + (b - 1.0) * np.log(np.clip(1.0 - arr, 1e-300, None))
-                    - special.betaln(a, b)
-                ),
-                0.0,
-            )
     elif law.kind == "arcsine":
         clipped = np.clip(arr, -0.5, 0.5)
         out = (2.0 / math.pi) * np.arcsin(np.sqrt(clipped + 0.5))
-        inside = (arr > -0.5) & (arr < 0.5)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pdf = np.where(
-                inside, 1.0 / (math.pi * np.sqrt((0.5 + clipped) * (0.5 - clipped))), 0.0
-            )
     elif law.kind == "simplex_height":
         (d,) = law.params
         clipped = np.clip(arr, 0.0, 1.0)
         out = 1.0 - (1.0 - clipped) ** d
-        pdf = np.where((arr >= 0.0) & (arr <= 1.0), d * (1.0 - clipped) ** (d - 1.0), 0.0)
     else:
         raise ConfigurationError(f"unsupported law kind: {law.kind!r}")
-    res = pdf if density else out
-    return float(res) if res.ndim == 0 else res
+    return float(out) if out.ndim == 0 else out
 
 
 def law_sample(law: LawSpec, rng: RngStream, size=None):

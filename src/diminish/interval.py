@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+_CHUNK = 8192  # replicas per chunk of run_full_batch
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,6 @@ def run_full_batch(
     replicas: int,
     seed: int,
     path: tuple[int, ...] = (),
-    chunk: int = 8192,
 ):
     """Run independent replicas of the full process, vectorized across replicas and steps.
 
@@ -264,7 +264,7 @@ def run_full_batch(
     """
     radii = np.empty(replicas)
     centers = np.empty(replicas)
-    for start, stop, blocks in replica_blocks(seed, replicas, n, 1, chunk, path):
+    for start, stop, blocks in replica_blocks(seed, replicas, n, 1, _CHUNK, path):
         z = np.zeros(stop - start)
         r = np.ones(stop - start)
         lo, hi = _keep_band(r, law)

@@ -72,6 +72,7 @@ __all__ = [
 
 _FEAS_EPS = 1e-9
 _EPS = 1e-12  # side-pair vertex feasibility; positive cap and overlap areas
+_CHUNK = 16384  # replicas per chunk of run_polygon_batch
 
 GOLDEN_C = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_LAMBDA = (math.sqrt(5.0) + 1.0) / 2.0
@@ -528,9 +529,7 @@ class PolygonBatchResult:
     fallback_steps: np.ndarray
 
 
-def run_polygon_batch(
-    k: int, n: int, replicas: int, seed: int, chunk: int = 16384
-) -> PolygonBatchResult:
+def run_polygon_batch(k: int, n: int, replicas: int, seed: int) -> PolygonBatchResult:
     """Run independent polygon replicas, vectorized across replicas and steps.
 
     Replica ``r`` consumes the uniforms of ``RngStream(seed, r)`` in
@@ -570,7 +569,7 @@ def run_polygon_batch(
     max_rise = np.full(replicas, -np.inf)
     fallback = np.zeros(replicas, dtype=int)
 
-    for start, stop, blocks in replica_blocks(seed, replicas, n, 3, chunk):
+    for start, stop, blocks in replica_blocks(seed, replicas, n, 3, _CHUNK):
         c = stop - start
         tight = np.zeros(c, dtype=bool)
         # views: the accumulators update their rows of the result in place

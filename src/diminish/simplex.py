@@ -182,15 +182,22 @@ class SimplexThinned:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or len(w) < 2:
-            raise DomainError("thinned simplex needs d + 1 >= 2 weights in one vector")
-        if abs(float(w.sum()) - 1.0) > 1e-12 * (len(w) + 1):
-            raise DomainError("barycentric weights must sum to 1")
-        if float(w.min()) < -1e-12:
-            raise DomainError("barycentric weights must be nonnegative")
+        if w.ndim != 1:
+            raise DomainError("thinned simplex needs its weights in one vector")
+        _check_weights(w)
         d = len(w) - 1
         if not (0.0 <= self.excess <= 1.0 / d + 1e-12):
             raise DomainError(f"excess must lie in (0, rho], got {self.excess}")
+
+
+def _check_weights(w: np.ndarray) -> None:
+    """Require ``d + 1 >= 2`` weights per point (last axis), summing to 1, none negative."""
+    if w.ndim == 0 or w.shape[-1] < 2:
+        raise DomainError("barycentric weights need d + 1 >= 2 entries per point")
+    if not np.all(np.abs(w.sum(axis=-1) - 1.0) <= 1e-12 * (w.shape[-1] + 1)):
+        raise DomainError("barycentric weights must sum to 1")
+    if np.any(w < -1e-12):
+        raise DomainError("barycentric weights must be nonnegative")
 
 
 def simplex_thinned_new(d: int) -> SimplexThinned:
@@ -239,9 +246,10 @@ def simplex_thinned_step(s: SimplexThinned, rng: RngStream) -> SimplexThinned:
 def simplex_perpetuity_step(weights, rng: RngStream):
     """Fixed-point update of the limit law: ``h u_xi + (1 - h) Lambda``.
 
-    ``weights`` has shape (d+1,) or (N, d+1); one update per row.
+    ``weights`` has shape (d+1,) or (N, d+1), rows of barycentric weights; one update per row.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
+    _check_weights(w)
     xi, h = _thinned_draws(rng.uniform((2, len(w))), w.shape[1] - 1)
     out = (1.0 - h)[:, None] * w
     out[np.arange(len(w)), xi] += h
@@ -278,13 +286,19 @@ def from_barycentric(weights, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def run_simplex_batch(d: int, n: int, replicas: int, seed: int, chunk: int = 4096):
+_CHUNK = 4096  # replicas per chunk of run_simplex_batch
+_THINNED_TOL = 1e-12
+_THINNED_TERMS = 1024
+_THINNED_CHUNK = 512
+
+
+def run_simplex_batch(d: int, n: int, replicas: int, seed: int):
     """Vectorized full-process replicas; returns ``(heights, centers)``.
 
     Replica ``r`` consumes the uniforms of ``RngStream(seed, r)`` in
     trajectory order (``d + 1`` per step), matching the scalar stepper.
     """
-    chunks = replica_blocks(seed, replicas, n, d + 1, chunk)
+    chunks = replica_blocks(seed, replicas, n, d + 1, _CHUNK)
     e = vertex_matrix(d)
     rho = 1.0 / d
     heights = np.empty(replicas)
@@ -299,10 +313,6 @@ def run_simplex_batch(d: int, n: int, replicas: int, seed: int, chunk: int = 409
     return heights, centers
 
 
-_THINNED_TOL = 1e-12
-_THINNED_TERMS = 1024
-
-
 def run_thinned_batch(d: int, replicas: int, seed: int):
     """Limiting barycentric weights of independent thinned chains, shape (replicas, d+1).
 
@@ -311,7 +321,7 @@ def run_thinned_batch(d: int, replicas: int, seed: int):
     ``r`` replays the scalar stepper on ``RngStream(seed, r)`` bit for bit.
     """
     out = np.empty((replicas, d + 1))
-    for start, stop, blocks in replica_blocks(seed, replicas, _THINNED_TERMS, 2, 512):
+    for start, stop, blocks in replica_blocks(seed, replicas, _THINNED_TERMS, 2, _THINNED_CHUNK):
         w = np.full((stop - start, d + 1), 1.0 / (d + 1))
         ell = np.full(stop - start, 1.0 / d)
         for ut in (u[:, t] for u in blocks for t in range(u.shape[1])):

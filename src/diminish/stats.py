@@ -53,9 +53,9 @@ class ScaledSample:
             raise DomainError("scaled sample must be finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Description of one experiment; fully determines its output."""
+    """Description of one experiment; fully determines its output (frozen, so it keys memos)."""
 
     process: str
     n: int

@@ -1,16 +1,17 @@
 """Named verification suite for the limit theorems and structural invariants.
 
-Each check runs at its published sample sizes and tolerances, reports its
-raw statistics (never just pass/fail), and is deterministic given the seed.
-A check declares each criterion once, through :meth:`CheckResult.criterion`;
-the verdict, the report line, the failure note and the ``verify --json``
-threshold all come from that declaration.
+Each check runs at its published sample sizes and tolerances (module
+constants and literals, so it takes only a seed, and geometry-oracle its
+trajectory length), reports its raw statistics (never just pass/fail), and
+is deterministic given the seed.  A check declares each criterion once,
+through :meth:`CheckResult.criterion`; the verdict, the report line, the
+failure note and the ``verify --json`` threshold all come from that declaration.
 
-Expensive simulations are memoized per (process, parameters, n, replicas,
-seed) so overlapping checks share runs.  Replica ``r`` always draws stream
-``(seed, r)``, so a run with R replicas equals the first R rows of a larger
-run with the same seed; pentagon-structure takes its replicas as the first
-rows of the shared pentagon run.
+Expensive simulations are memoized on their :class:`~diminish.stats.RunConfig`,
+which is frozen and so keys the memo itself; overlapping checks share runs.
+Replica ``r`` always draws stream ``(seed, r)``, so a run with R replicas
+equals the first R rows of a larger run with the same seed; pentagon-structure
+takes its replicas as the first rows of the shared pentagon run.
 
 Three criteria are out of reach at the published sizes.  They still run at
 full strength and report FAIL with a note; DECISIONS.md §1-3 gives the
@@ -131,21 +132,32 @@ _CACHE: dict = {}
 
 def _experiment(**kwargs):
     cfg = RunConfig(**kwargs)
-    key = (cfg.process, cfg.n, cfg.replicas, cfg.seed, cfg.c, cfg.delta, cfg.d, cfg.k)
-    if key not in _CACHE:
-        _CACHE[key] = run_experiment(cfg)
-    return _CACHE[key]
+    if cfg not in _CACHE:
+        _CACHE[cfg] = run_experiment(cfg)
+    return _CACHE[cfg]
 
 
-def _thinned(d, replicas, seed):
-    key = ("thinned", d, replicas, seed)
+def _thinned(d, seed):
+    key = ("thinned", d, seed)
     if key not in _CACHE:
-        _CACHE[key] = run_thinned_batch(d, replicas, seed)
+        _CACHE[key] = run_thinned_batch(d, SIMPLEX_REPLICAS, seed)
     return _CACHE[key]
 
 
 # Analytic range of every polygon area along a trajectory.
 AREA_RANGE = (math.pi / 100.0, math.pi)
+
+# Published sizes of every check's runs.  invariant-suite requests the
+# polygon runs and the thinned weights through the same memoized helpers,
+# whatever ran before it.
+INTERVAL_N, INTERVAL_REPLICAS = 10_000, 10_000
+CENTER_SAMPLES = 100_000
+CUBE_D, CUBE_N, CUBE_REPLICAS = 3, 10_000, 10_000
+SIMPLEX_N, SIMPLEX_REPLICAS = 10_000, 10_000
+PENTAGON_N, PENTAGON_REPLICAS = 10_000, 10_000
+STRUCTURE_REPLICAS = 1000
+FIGURE_N, FIGURE_REPLICAS = 100, 200
+RATE_NS, RATE_REPLICAS = (100, 400, 1600), 500
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +165,18 @@ AREA_RANGE = (math.pi / 100.0, math.pi)
 # ---------------------------------------------------------------------------
 
 
-def check_interval_rate(seed=DEFAULT_SEED, n=10_000, replicas=10_000) -> CheckResult:
+def check_interval_rate(seed=DEFAULT_SEED) -> CheckResult:
     res = CheckResult("interval-rate")
     ks_tol = 0.02
-    uniform = _experiment(
-        process="interval", n=n, replicas=replicas, seed=seed, c=0.5, delta=1.0
-    ).values()
+    sizes = {"process": "interval", "n": INTERVAL_N, "replicas": INTERVAL_REPLICAS}
+    uniform = _experiment(seed=seed, c=0.5, delta=1.0, **sizes).values()
     ks = ks_stat(uniform, cdf_callable(exp1()))
     res.criterion("uniform_ks", "uniform law: KS vs Exp(1)", ks, "<=", ks_tol)
     mean, se = moment_estimate(uniform, 1.0)
     res.criterion(
         "uniform_mean", f"uniform law: mean (s.e. {_fmt(se)})", mean, "<=", 0.03, target=1.0
     )
-    general = _experiment(
-        process="interval", n=n, replicas=replicas, seed=seed + 1, c=0.3, delta=2.0
-    ).values()
+    general = _experiment(seed=seed + 1, c=0.3, delta=2.0, **sizes).values()
     ks = ks_stat(general, cdf_callable(weibull(2.0)))
     res.criterion("general_ks", "c=0.3, delta=2: KS vs Weibull(2)", ks, "<=", ks_tol)
     return res
@@ -178,11 +187,11 @@ def check_interval_rate(seed=DEFAULT_SEED, n=10_000, replicas=10_000) -> CheckRe
 # ---------------------------------------------------------------------------
 
 
-def check_interval_center(seed=DEFAULT_SEED, samples=100_000) -> CheckResult:
+def check_interval_center(seed=DEFAULT_SEED) -> CheckResult:
     res = CheckResult("interval-center")
     tol = 0.01
     for i, (c, delta) in enumerate([(0.5, 1.0), (0.3, 2.0)]):
-        z = center_series_batch(RngStream(seed + 2, 0, (10 + i,)), c, delta, 1e-9, samples)
+        z = center_series_batch(RngStream(seed + 2, 0, (10 + i,)), c, delta, 1e-9, CENTER_SAMPLES)
         a, b = delta * (1.0 - c), delta * c
         ks = ks_stat(z + 0.5, cdf_callable(beta_law(a, b)))
         label = f"c={c}, delta={delta}: KS vs Beta({a:g}, {b:g}) shifted"
@@ -198,10 +207,11 @@ def check_interval_center(seed=DEFAULT_SEED, samples=100_000) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_cube(seed=DEFAULT_SEED, n=10_000, replicas=10_000, d=3) -> CheckResult:
+def check_cube(seed=DEFAULT_SEED) -> CheckResult:
     res = CheckResult("cube")
     tol = 0.02
-    run = _experiment(process="cube", n=n, replicas=replicas, seed=seed + 4, d=d)
+    d = CUBE_D
+    run = _experiment(process="cube", n=CUBE_N, replicas=CUBE_REPLICAS, seed=seed + 4, d=d)
     ks = ks_stat(run.values(), cdf_callable(max_exp(d)))
     res.criterion("max_ks", f"scaled max edge: KS vs (1-e^-x)^{d}", ks, "<=", tol)
     centers = run.extras["centers"]
@@ -229,10 +239,12 @@ def check_cube(seed=DEFAULT_SEED, n=10_000, replicas=10_000, d=3) -> CheckResult
 # ---------------------------------------------------------------------------
 
 
-def check_simplex(seed=DEFAULT_SEED, n=10_000, replicas=10_000) -> CheckResult:
+def check_simplex(seed=DEFAULT_SEED) -> CheckResult:
     res = CheckResult("simplex")
     for d in (2, 3):
-        run = _experiment(process="simplex", n=n, replicas=replicas, seed=seed + 5 + d, d=d)
+        run = _experiment(
+            process="simplex", n=SIMPLEX_N, replicas=SIMPLEX_REPLICAS, seed=seed + 5 + d, d=d
+        )
         ks = ks_stat(run.values(), cdf_callable(weibull(float(d))))
         note = None
         if d == 3:
@@ -244,7 +256,7 @@ def check_simplex(seed=DEFAULT_SEED, n=10_000, replicas=10_000) -> CheckResult:
         res.criterion(f"rate_ks_d{d}", label, ks, "<=", 0.03, note=note)
         a = d / (d + 1)
         marg = beta_law(a, d * a)
-        lam = _thinned(d, replicas, seed + 15 + d)
+        lam = _thinned(d, seed + 15 + d)
         worst = max(ks_stat(lam[:, i], cdf_callable(marg)) for i in range(d + 1))
         label = f"d={d}: worst weight marginal KS vs Beta({a:.4g}, {d * a:.4g})"
         res.criterion(f"thinned_ks_d{d}", label, worst, "<=", 0.02)
@@ -262,8 +274,9 @@ def check_simplex(seed=DEFAULT_SEED, n=10_000, replicas=10_000) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_geometry_oracle(seed=DEFAULT_SEED, steps=100, tol=1e-10) -> CheckResult:
+def check_geometry_oracle(seed=DEFAULT_SEED, steps=100) -> CheckResult:
     res = CheckResult("geometry-oracle")
+    tol = 1e-10
     for k in (5, 7, 8):
         rng = RngStream(seed + 20, 0, (k,))
         state = polygon_new(k)
@@ -308,32 +321,29 @@ def check_geometry_oracle(seed=DEFAULT_SEED, steps=100, tol=1e-10) -> CheckResul
 # ---------------------------------------------------------------------------
 
 
-# Published sizes of the polygon batch runs; invariant-suite requests them
-# through the same memoized helpers, whatever ran before it.
-PENTAGON_N, PENTAGON_REPLICAS = 10_000, 10_000
-FIGURE_N, FIGURE_REPLICAS = 100, 200
-RATE_NS, RATE_REPLICAS = (100, 400, 1600), 500
+def _pentagon_big(seed):
+    return _experiment(
+        process="polygon", k=5, n=PENTAGON_N, replicas=PENTAGON_REPLICAS, seed=seed + 25
+    )
 
 
-def _pentagon_big(seed, n=PENTAGON_N, replicas=PENTAGON_REPLICAS):
-    return _experiment(process="polygon", k=5, n=n, replicas=replicas, seed=seed + 25)
+def _figure_run(seed, k):
+    return _experiment(
+        process="polygon", k=k, n=FIGURE_N, replicas=FIGURE_REPLICAS, seed=seed + 30 + k
+    )
 
 
-def _figure_run(seed, k, n=FIGURE_N, replicas=FIGURE_REPLICAS):
-    return _experiment(process="polygon", k=k, n=n, replicas=replicas, seed=seed + 30 + k)
+def _rate_run(seed, k, n):
+    return _experiment(process="polygon", k=k, n=n, replicas=RATE_REPLICAS, seed=seed + 40 + k)
 
 
-def _rate_run(seed, k, n, replicas=RATE_REPLICAS):
-    return _experiment(process="polygon", k=k, n=n, replicas=replicas, seed=seed + 40 + k)
-
-
-def check_pentagon_structure(seed=DEFAULT_SEED, n=PENTAGON_N, replicas=1000) -> CheckResult:
-    batch = _pentagon_big(seed, n, max(replicas, PENTAGON_REPLICAS)).extras["batch"]
+def check_pentagon_structure(seed=DEFAULT_SEED) -> CheckResult:
+    batch = _pentagon_big(seed).extras["batch"]
     rho = pentagon_constants().rho5
-    sl = slice(0, replicas)
+    sl = slice(0, STRUCTURE_REPLICAS)
     res = CheckResult("pentagon-structure")
     fallbacks = int(batch.fallback_steps[sl].sum())
-    res.criterion("fallbacks", "equal-angle: clip fallbacks", fallbacks, "==", 0)
+    res.criterion("fallbacks", "equal-angle: tightened states", fallbacks, "==", 0)
     slack = float(batch.min_slack[sl].min())
     res.criterion("min_slack", "equal-angle: candidate slack min", slack, ">=", -1e-9)
     residual = float(batch.max_residual[sl].max())
@@ -362,13 +372,11 @@ def check_pentagon_structure(seed=DEFAULT_SEED, n=PENTAGON_N, replicas=1000) -> 
 # ---------------------------------------------------------------------------
 
 
-def check_pentagon_envelope(
-    seed=DEFAULT_SEED, n=PENTAGON_N, replicas=PENTAGON_REPLICAS
-) -> CheckResult:
-    batch = _pentagon_big(seed, n, replicas).extras["batch"]
+def check_pentagon_envelope(seed=DEFAULT_SEED) -> CheckResult:
+    batch = _pentagon_big(seed).extras["batch"]
     rho = pentagon_constants().rho5
     c1 = math.tan(3.0 * math.pi / 10.0)
-    scaled = math.sqrt(n * c1) * (batch.max_height - rho)
+    scaled = math.sqrt(PENTAGON_N * c1) * (batch.max_height - rho)
     t_min = float(batch.final_area.min())
     t_max = float(batch.final_area.max())
     grid = [0.2, 0.5, 1.0, 1.5, 2.0]
@@ -425,14 +433,14 @@ def check_pentagon_envelope(
 # ---------------------------------------------------------------------------
 
 
-def check_figure_ranges(seed=DEFAULT_SEED, n=FIGURE_N, replicas=FIGURE_REPLICAS) -> CheckResult:
+def check_figure_ranges(seed=DEFAULT_SEED) -> CheckResult:
     res = CheckResult("figure-ranges")
     specs = [
         (7, 0.5, (0.215, 1.078), (0.05, 2.2)),
         (8, 1.0, (0.236, 5.381), (0.05, 11.0)),
     ]
     for k, expo, observed, envelope in specs:
-        values = _figure_run(seed, k, n, replicas).values()
+        values = _figure_run(seed, k).values()
         lo, hi = float(values.min()), float(values.max())
         label = f"k={k}, n^{expo:g} scaling:"
         res.criterion(f"k{k}_min", f"{label} min, overlap", lo, "<=", observed[1])
@@ -447,11 +455,11 @@ def check_figure_ranges(seed=DEFAULT_SEED, n=FIGURE_N, replicas=FIGURE_REPLICAS)
 # ---------------------------------------------------------------------------
 
 
-def check_rate_discrimination(seed=DEFAULT_SEED, replicas=RATE_REPLICAS) -> CheckResult:
+def check_rate_discrimination(seed=DEFAULT_SEED) -> CheckResult:
     res = CheckResult("rate-discrimination")
     ns = RATE_NS
     meds = {
-        k: [float(np.median(_rate_run(seed, k, n, replicas).extras["excess"])) for n in ns]
+        k: [float(np.median(_rate_run(seed, k, n).extras["excess"])) for n in ns]
         for k in (7, 8)
     }
     for k in (7, 8):
@@ -568,7 +576,7 @@ def check_invariants(seed=DEFAULT_SEED) -> CheckResult:
     res.criterion("interval_violations", label, bad, "==", 0)
 
     for d in (2, 3):
-        lam = _thinned(d, 10_000, seed + 15 + d)
+        lam = _thinned(d, seed + 15 + d)
         sum_dev = float(np.abs(lam.sum(axis=1) - 1.0).max())
         label = f"simplex d={d} thinned weights: max |sum - 1|"
         res.criterion(f"thinned_d{d}_sum_dev", label, sum_dev, "<=", 1e-12 * (d + 2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diminish import interval
 from diminish.cube import UNIFORM_LAW, cube_run_batch, cube_trajectory
 from diminish.distributions import RngStream
 from diminish.errors import DomainError
@@ -60,9 +61,10 @@ class TestLimitLaws:
 
 
 class TestBatch:
-    def test_batch_rows_replay_scalar(self):
+    def test_batch_rows_replay_scalar(self, monkeypatch):
+        monkeypatch.setattr(interval, "_CHUNK", 3)
         for d in (1, 2, 3, 5):
-            scaled_max, excess, centers = cube_run_batch(d, 250, 4, seed=25, chunk=3)
+            scaled_max, excess, centers = cube_run_batch(d, 250, 4, seed=25)
             for r in range(4):
                 cent, radii = cube_trajectory(d, 250, RngStream(25, r))
                 row_excess = 2.0 * 250 * (2.0 * radii[-1] - 1.0)
@@ -75,9 +77,10 @@ class TestBatch:
         from diminish import distributions
 
         d, n, replicas, chunk = 3, 120, 4, 3
-        whole = cube_run_batch(d, n, replicas, seed=27, chunk=chunk)
+        monkeypatch.setattr(interval, "_CHUNK", chunk)
+        whole = cube_run_batch(d, n, replicas, seed=27)
         monkeypatch.setattr(distributions, "_BLOCK_BYTES", width * chunk * 8)
-        cut = cube_run_batch(d, n, replicas, seed=27, chunk=chunk)
+        cut = cube_run_batch(d, n, replicas, seed=27)
         for a, b in zip(cut, whole):
             assert a.tobytes() == b.tobytes()
         for r in range(replicas):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diminish
-from diminish import distributions
+from diminish import distributions, interval
 from diminish.distributions import (
     DfForm,
     df_form_ppf,
@@ -218,7 +218,9 @@ class TestRepresentationConsistency:
 
 
 def assert_rows_replay(law, n, replicas, seed, chunk):
-    radii, centers = run_full_batch(law, n, replicas, seed=seed, chunk=chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interval, "_CHUNK", chunk)
+        radii, centers = run_full_batch(law, n, replicas, seed=seed)
     for r in range(replicas):
         s = interval_new(law)
         rng = RngStream(seed, r)
@@ -245,7 +247,8 @@ class TestScreen:
     @pytest.mark.parametrize("delta", [0.01, 0.2, 1.0, 3.0, 50.0])
     def test_rows_replay_across_block_edges(self, monkeypatch, width, c, delta):
         law, n, replicas, chunk = DfForm(c, delta), 150, 5, 3
-        whole = run_full_batch(law, n, replicas, seed=31, chunk=chunk)
+        monkeypatch.setattr(interval, "_CHUNK", chunk)
+        whole = run_full_batch(law, n, replicas, seed=31)
         monkeypatch.setattr(distributions, "_BLOCK_BYTES", width * chunk * 8)
         for a, b in zip(assert_rows_replay(law, n, replicas, 31, chunk), whole):
             assert a.tobytes() == b.tobytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diminish import distributions
+from diminish import distributions, polygon
 from diminish.distributions import RngStream
 from diminish.errors import DomainError, StateCorruptionError
 from diminish.oracle import _clip_edge, clip_convex_by_convex, match_point_sets, shoelace_area
@@ -42,7 +42,9 @@ def reduced_regular_pentagon(excess: float) -> PolygonState:
 def assert_rows_replay(k: int, n: int, replicas: int, seed: int, chunk: int):
     """Every field of each batch row equals its value recomputed from the scalar
     trajectory's n + 1 states on stream ``(seed, r)``."""
-    res = run_polygon_batch(k, n, replicas, seed=seed, chunk=chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polygon, "_CHUNK", chunk)
+        res = run_polygon_batch(k, n, replicas, seed=seed)
     assert (res.max_residual is None) == (k != 5)
     for r in range(replicas):
         rng = RngStream(seed, r)
@@ -263,7 +265,8 @@ class TestStep:
         # blocks of `width` steps: windows, which reach t // 8 steps, are cut at
         # every block edge, and a column's pointer restarts in each block
         n, replicas, chunk = 120, 6, 3
-        whole = run_polygon_batch(k, n, replicas, seed=44, chunk=chunk)
+        monkeypatch.setattr(polygon, "_CHUNK", chunk)
+        whole = run_polygon_batch(k, n, replicas, seed=44)
         assert (whole.fallback_steps.sum() > 0) == (k > 5)
         monkeypatch.setattr(distributions, "_BLOCK_BYTES", width * chunk * 3 * 8)
         assert_same_batch(assert_rows_replay(k, n, replicas, 44, chunk), whole)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diminish import simplex
 from diminish.distributions import RngStream
 from diminish.errors import DomainError, StateCorruptionError
 from diminish.simplex import (
@@ -72,9 +73,10 @@ class TestFullStep:
             assert nxt.height >= nxt.rho - 1e-12
             s = nxt
 
-    def test_batch_rows_replay_scalar(self):
+    def test_batch_rows_replay_scalar(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_CHUNK", 3)
         for d in (1, 2, 3, 5):
-            heights, centers = run_simplex_batch(d, 200, 4, seed=32, chunk=3)
+            heights, centers = run_simplex_batch(d, 200, 4, seed=32)
             for r in range(4):
                 rng = RngStream(32, r)
                 s = simplex_new(d)
@@ -136,6 +138,21 @@ class TestThinnedChain:
         with pytest.raises(DomainError):
             SimplexThinned(np.array(weights), 0.0)
 
+    @pytest.mark.parametrize(
+        "weights,match",
+        [
+            ([1.0], "entries"),
+            ([[1.0]], "entries"),
+            ([0.5, 0.7], "sum"),
+            ([[0.5, 0.5], [0.5, 0.7]], "sum"),
+            ([0.5, np.nan], "sum"),
+            ([-0.5, 1.5], "nonnegative"),
+        ],
+    )
+    def test_perpetuity_rejects_bad_weights(self, weights, match):
+        with pytest.raises(DomainError, match=match):
+            simplex_perpetuity_step(np.array(weights), RngStream(1))
+
     def test_negative_weight_is_corruption(self):
         s = SimplexThinned(np.array([1.0, 0.0, 0.0]), 0.5)
         with pytest.raises(StateCorruptionError):
@@ -178,15 +195,28 @@ class TestBarycentric:
 
 
 class TestLimitLaws:
+    @staticmethod
+    def assert_rows_replay(lam, d, seed):
+        for r in range(len(lam)):
+            rng = RngStream(seed, r)
+            s = simplex_thinned_new(d)
+            while s.excess >= 1e-12:
+                s = simplex_thinned_step(s, rng)
+            assert np.array_equal(lam[r], s.weights), (d, r)
+
     def test_thinned_batch_matches_scalar_steps(self):
         for d in (1, 2, 3, 5):
-            lam = run_thinned_batch(d, 40, seed=34)
-            for r in range(40):
-                rng = RngStream(34, r)
-                s = simplex_thinned_new(d)
-                while s.excess >= 1e-12:
-                    s = simplex_thinned_step(s, rng)
-                assert np.array_equal(lam[r], s.weights), (d, r)
+            self.assert_rows_replay(run_thinned_batch(d, 40, seed=34), d, 34)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_thinned_batch_replays_across_chunk_edges(self, monkeypatch, chunk):
+        # 20 rows in chunks of 1, 3 and 7 replicas, the last chunk short
+        whole = {d: run_thinned_batch(d, 20, seed=37) for d in (1, 2, 3, 5)}
+        monkeypatch.setattr(simplex, "_THINNED_CHUNK", chunk)
+        for d, lam in whole.items():
+            cut = run_thinned_batch(d, 20, seed=37)
+            assert np.array_equal(cut, lam), d
+            self.assert_rows_replay(cut, d, 37)
 
     def test_perpetuity_fixed_point(self):
         d = 2

@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from diminish import verification as V
-from diminish.stats import ExperimentResult
+from diminish.stats import ExperimentResult, RunConfig
 
 
 def test_invariant_suite_requests_published_polygon_runs(monkeypatch):
@@ -36,3 +39,28 @@ def test_invariant_suite_requests_published_polygon_runs(monkeypatch):
         (8, 1600, 500, 48),
     ]
     assert res.passed
+
+
+def test_run_config_is_frozen_and_keys_the_memo(monkeypatch):
+    calls = []
+
+    def fake_experiment(cfg):
+        calls.append(cfg)
+        return ExperimentResult(cfg, [], {})
+
+    monkeypatch.setattr(V, "_CACHE", {})
+    monkeypatch.setattr(V, "run_experiment", fake_experiment)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RunConfig(process="interval", n=10, replicas=2, seed=1).n = 20
+    first = V._experiment(process="interval", n=10, replicas=2, seed=1)
+    # equal configs, one spelled with its default c, share one run
+    assert V._experiment(process="interval", n=10, replicas=2, seed=1, c=0.5) is first
+    assert len(calls) == 1
+    assert V._experiment(process="interval", n=10, replicas=2, seed=2) is not first
+    assert len(calls) == 2
+
+
+def test_checks_take_only_their_seed():
+    for name, check in V.ALL_CHECKS.items():
+        params = list(inspect.signature(check).parameters)
+        assert params == (["seed", "steps"] if name == "geometry-oracle" else ["seed"]), name
