@@ -69,9 +69,13 @@ class RngStream:
         """Child stream for a sub-process (axis, component, ...)."""
         return RngStream(self.seed, self.stream_id, self.path + path)
 
-    def uniform(self, size=None):
-        """Standard uniform draws on [0, 1)."""
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Standard uniform draws on [0, 1), filling and returning ``out`` when given.
+
+        ``out`` must be a C-contiguous float array; the draws are the ones a
+        fresh array of its shape would get.
+        """
+        return self._gen.random(size, out=out)
 
     def integers(self, n: int, size=None):
         """Uniform integers on {0, ..., n-1}."""
@@ -99,8 +103,9 @@ def replica_blocks(
     ``(start, stop, blocks)`` per chunk of at most ``chunk`` replicas;
     ``blocks`` yields arrays ``u`` of shape ``(stop - start, width, draws)``
     covering the ``n`` steps in order, ``u[i, t]`` being the draws of the
-    next step of replica ``start + i``.  A block is at most 48 MB and its
-    buffer is reused, so it is only valid until the next one is requested;
+    next step of replica ``start + i``.  A block is at most 48 MB and one
+    buffer serves every block of every chunk, so a block is only valid
+    until the next one is requested;
     blocks are filled on demand, so an engine that stops early draws no
     further.
     """
@@ -112,20 +117,24 @@ def replica_blocks(
 
 
 def _replica_chunks(seed, replicas, n, draws, chunk, path):
+    # One buffer for every chunk.  With glibc, freeing a chunk's buffer raises
+    # the mmap threshold to its size, so a fresh buffer for the next chunk came
+    # from the heap and stayed resident after the engine returned.
+    rows = min(chunk, replicas)
+    block = max(1, min(n, int(_BLOCK_BYTES / (rows * draws * 8))))
+    buffer = np.empty(rows * block * draws)
     for start in range(0, replicas, chunk):
         stop = min(start + chunk, replicas)
         streams = [RngStream(seed, r, path) for r in range(start, stop)]
-        yield start, stop, _stream_blocks(streams, n, draws)
+        yield start, stop, _stream_blocks(streams, n, draws, block, buffer)
 
 
-def _stream_blocks(streams: list[RngStream], n: int, draws: int):
-    block = max(1, min(n, int(_BLOCK_BYTES / (len(streams) * draws * 8))))
-    buffer = np.empty(len(streams) * block * draws)
+def _stream_blocks(streams: list[RngStream], n: int, draws: int, block: int, buffer: np.ndarray):
     for done in range(0, n, block):
         width = min(block, n - done)
         u = buffer[: len(streams) * width * draws].reshape(len(streams), width, draws)
         for i, s in enumerate(streams):
-            u[i] = s.uniform((width, draws))
+            s.uniform(out=u[i])
         yield u
 
 

@@ -19,6 +19,15 @@ Draw discipline: the full step consumes ``d + 1`` uniforms (exponential
 spacings of the uniform point), the thinned step consumes two (vertex pick,
 then height) through the draw helper and row-wise update that the batch
 engine uses, so batch rows replay scalar chains bit for bit.
+
+The full batch runner does not evaluate every step.  With ``e = m - rho``
+the excess height, a step with uniforms ``u`` surely keeps the body when
+``(e + eta) (-log1p(-u_max)) (1 + eta) < rho (1 - eta) (sum(u) - u_max)``:
+only the largest of the weights ``w = -log1p(-u)`` can trigger a change,
+every other one obeys ``w >= u``, and ``eta = 1e-12`` covers the rounding.
+Each replica screens a window of steps on that test and jumps to the first
+one it does not pass; only that one goes through the scalar step's kernels
+on the same draws (see :func:`run_simplex_batch`).
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RngStream, replica_blocks
+from .distributions import RngStream, replica_blocks, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -287,16 +296,71 @@ def from_barycentric(weights, d: int) -> np.ndarray:
 
 
 _CHUNK = 4096  # replicas per chunk of run_simplex_batch
+_SCREEN_ETA = 1e-12
 _THINNED_TOL = 1e-12
 _THINNED_TERMS = 1024
 _THINNED_CHUNK = 512
+
+
+def _screen_scale(offsets: np.ndarray, rho: float) -> np.ndarray:
+    """Per-row factor ``(e + eta)(1 + eta) / (rho (1 - eta))`` of the screen, ``e = m - rho``."""
+    eta = _SCREEN_ETA
+    return (offsets.sum(axis=-1) - rho + eta) * ((1.0 + eta) / (rho * (1.0 - eta)))
+
+
+def _screen_hits(draws: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Steps the screen cannot pass, for draws of shape ``(columns, steps, d + 1)``.
+
+    ``hit[i, j]`` is false when ``w_max scale[i] < sum(u) - u_max``, with
+    ``w_max = -log1p(-u_max)``: the step surely keeps the body (see
+    :func:`run_simplex_batch`).  The maximum and the sum run over the d + 1
+    strided draw columns, since a reduction over the short last axis costs
+    more than the whole screen.
+    """
+    u = [draws[..., i] for i in range(draws.shape[-1])]
+    top, rest = np.maximum(u[0], u[1]), np.add(u[0], u[1])
+    for col in u[2:]:
+        np.maximum(top, col, out=top)
+        np.add(rest, col, out=rest)
+    np.subtract(rest, top, out=rest)
+    np.log1p(np.negative(top, out=top), out=top)
+    np.multiply(top, -scale[:, None], out=top)
+    return np.greater_equal(top, rest)
 
 
 def run_simplex_batch(d: int, n: int, replicas: int, seed: int):
     """Vectorized full-process replicas; returns ``(heights, centers)``.
 
     Replica ``r`` consumes the uniforms of ``RngStream(seed, r)`` in
-    trajectory order (``d + 1`` per step), matching the scalar stepper.
+    trajectory order (``d + 1`` per step), and every step that can change
+    its row goes through the scalar stepper's kernels, so row ``r`` replays
+    :func:`simplex_full_step` on that stream bit for bit.
+
+    The engine screens steps on their raw uniforms.  With ``m`` the row's
+    height, ``e = m - rho`` and ``w_i = -log1p(-u_i)``, a step changes the
+    body iff ``m w_i > rho W`` for some i, ``W = sum(w)``, that is iff
+    ``e w_i > rho (W - w_i)``.  Only the largest weight can pass that test,
+    and every other weight obeys ``w_j >= u_j``, so the step surely keeps
+    the body when
+
+        (e + eta) (-log1p(-u_max)) (1 + eta) < rho (1 - eta) (sum(u) - u_max),
+
+    with ``eta = 1e-12``; the engine divides both sides by ``rho (1 - eta)``
+    once per row (:func:`_screen_scale`).  That costs one ``log1p``, one
+    maximum and one sum per step.  The additive ``eta`` makes the test sound
+    in floating point.  The exact step's roundings (``log1p``, the sum ``W``,
+    the division ``w_i / W``, the product with ``m``) move its test by a few
+    ulp of ``rho`` on ``e``; the screen's own (``log1p``, ``sum(u)`` and its
+    difference with ``u_max``) by a few ulp of ``u_max <= w_max`` on the
+    right.  ``eta w_max`` outweighs both by orders of magnitude, also when
+    the other uniforms are so small that ``w_j >= u_j`` leaves no slack.
+
+    The rounds of :func:`~diminish.distributions.window_rounds` move each
+    column to its first step the screen does not pass (a candidate).  Only
+    a candidate goes through :func:`_uniform_weights` and
+    :func:`offsets_after_point`, exactly as the scalar step does; a candidate
+    that keeps the body is an unchanged step, and a candidate that moves the
+    row refreshes its screen factor.
     """
     chunks = replica_blocks(seed, replicas, n, d + 1, _CHUNK)
     e = vertex_matrix(d)
@@ -305,9 +369,15 @@ def run_simplex_batch(d: int, n: int, replicas: int, seed: int):
     centers = np.empty((replicas, d))
     for start, stop, blocks in chunks:
         offsets = np.full((stop - start, d + 1), 2.0 * rho / (d + 1))
-        for u in blocks:
-            for t in range(u.shape[1]):
-                offsets = offsets_after_point(offsets, _uniform_weights(u[:, t]), rho)
+        scale = _screen_scale(offsets, rho)
+        for w in window_rounds(blocks, stop - start):
+            first, moved, _ = w.advance(_screen_hits(w.draws, scale[w.act]))
+            rows = np.flatnonzero(moved)
+            if rows.size:
+                cc = w.act[rows]
+                lam = _uniform_weights(w.draws[rows, first[rows]])
+                offsets[cc] = offsets_after_point(offsets[cc], lam, rho)
+                scale[cc] = _screen_scale(offsets[cc], rho)
         heights[start:stop] = offsets.sum(axis=1)
         centers[start:stop] = -(d / (d + 1)) * (offsets @ e)
     return heights, centers

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diminish import distributions
 from diminish.distributions import (
     DfForm,
     RngStream,
@@ -53,12 +54,36 @@ class TestRngStream:
         singles = [s.uniform() for _ in range(6)]
         assert np.allclose(block, singles, rtol=0, atol=0)
 
+    def test_fill_in_place_draws_what_a_fresh_array_gets(self):
+        buffer = np.zeros((3, 4, 5))
+        s = RngStream(11, 2)
+        out = s.uniform(out=buffer[1])
+        assert np.shares_memory(out, buffer) and out.shape == (4, 5)
+        fresh = RngStream(11, 2)
+        assert buffer[1].tobytes() == fresh.uniform((4, 5)).tobytes()
+        assert not buffer[0].any() and not buffer[2].any()
+        assert s.uniform(3).tobytes() == fresh.uniform(3).tobytes()
+
 
 class TestReplicaBlocks:
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_chunk_below_one_rejected(self, chunk):
         with pytest.raises(DomainError, match="chunk"):
             replica_blocks(1, 4, 10, 1, chunk)
+
+    def test_every_chunk_fills_one_buffer_in_stream_order(self, monkeypatch):
+        # 10 replicas in chunks of 4, 4 and 2; blocks of 2 steps
+        monkeypatch.setattr(distributions, "_BLOCK_BYTES", 4 * 2 * 3 * 8)
+        first = None
+        for start, stop, blocks in replica_blocks(1, 10, 5, 3, 4):
+            steps = []
+            for u in blocks:
+                first = u if first is None else first
+                assert np.shares_memory(u, first) and u.shape[::2] == (stop - start, 3)
+                steps.append(u.copy())
+            steps = np.concatenate(steps, axis=1)
+            for i, r in enumerate(range(start, stop)):
+                assert steps[i].tobytes() == RngStream(1, r).uniform((5, 3)).tobytes()
 
 
 class TestDfForm:

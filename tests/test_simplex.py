@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from diminish import simplex
+from diminish import distributions, simplex
 from diminish.distributions import RngStream
 from diminish.errors import DomainError, StateCorruptionError
 from diminish.simplex import (
@@ -26,6 +26,28 @@ from diminish.simplex import (
     vertex_matrix,
 )
 from diminish.stats import ks_stat, ks_two_sample
+
+
+def assert_rows_replay(batch, d, n, seed):
+    heights, centers = batch
+    for r in range(len(heights)):
+        rng = RngStream(seed, r)
+        s = simplex_new(d)
+        for _ in range(n):
+            s = simplex_full_step(s, rng)
+        assert heights[r] == s.height, (d, r)
+        # the center read-out goes through BLAS at different shapes
+        assert np.allclose(centers[r], s.center, atol=1e-15, rtol=0), (d, r)
+
+
+def lockstep(d, n, replicas, seed):
+    """Reference engine: every step of every row through the exact kernels."""
+    rho = 1.0 / d
+    u = np.stack([RngStream(seed, r).uniform((n, d + 1)) for r in range(replicas)])
+    offsets = np.full((replicas, d + 1), 2.0 * rho / (d + 1))
+    for t in range(n):
+        offsets = offsets_after_point(offsets, simplex._uniform_weights(u[:, t]), rho)
+    return offsets.sum(axis=1), -(d / (d + 1)) * (offsets @ vertex_matrix(d))
 
 
 class TestReferenceSimplex:
@@ -76,15 +98,7 @@ class TestFullStep:
     def test_batch_rows_replay_scalar(self, monkeypatch):
         monkeypatch.setattr(simplex, "_CHUNK", 3)
         for d in (1, 2, 3, 5):
-            heights, centers = run_simplex_batch(d, 200, 4, seed=32)
-            for r in range(4):
-                rng = RngStream(32, r)
-                s = simplex_new(d)
-                for _ in range(200):
-                    s = simplex_full_step(s, rng)
-                assert heights[r] == s.height
-                # the center read-out goes through BLAS at different shapes
-                assert np.allclose(centers[r], s.center, atol=1e-15, rtol=0)
+            assert_rows_replay(run_simplex_batch(d, 200, 4, seed=32), d, 200, 32)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -106,6 +120,73 @@ class TestFullStep:
             assert np.abs(new - ref).max() <= 1e-15
             if np.all(s.height * lam <= rho):
                 assert np.array_equal(new, s.offsets)
+
+
+class TestScreen:
+    """The screened window engine: raw-uniform screen, candidates, block edges."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", [42, 43])
+    @pytest.mark.parametrize("replicas,n", [(300, 40), (40, 300)])
+    def test_matches_lockstep(self, d, seed, replicas, n):
+        for a, b in zip(run_simplex_batch(d, n, replicas, seed), lockstep(d, n, replicas, seed)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    def test_rows_replay_across_block_edges(self, monkeypatch, width):
+        n, replicas, chunk = 150, 5, 3
+        monkeypatch.setattr(simplex, "_CHUNK", chunk)
+        for d in (1, 2, 3, 5):
+            whole = run_simplex_batch(d, n, replicas, seed=44)
+            with monkeypatch.context() as mp:
+                mp.setattr(distributions, "_BLOCK_BYTES", width * chunk * (d + 1) * 8)
+                cut = run_simplex_batch(d, n, replicas, seed=44)
+            for a, b in zip(cut, whole):
+                assert a.tobytes() == b.tobytes(), d
+            assert_rows_replay(cut, d, n, 44)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 5]),
+        parts=st.lists(st.floats(1e-3, 1.0) | st.just(0.0), min_size=6, max_size=6),
+        # excess as a fraction of rho: log-uniform down to 1e-16, and heights rho and 2 rho
+        excess=st.floats(-16.0, 0.0).map(lambda t: 10.0**t) | st.sampled_from([0.0, 1.0]),
+        top=st.floats(-20.0, 0.0).map(lambda t: min(10.0**t, 1.0 - 2.0**-53)),
+        shares=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+        where=st.integers(0, 5),
+    )
+    # with eta = 0 the screen passes a change in each of these, and without
+    # the additive eta in the first two
+    @example(
+        d=3, parts=[1.0, 1.0, 0.5570117198176036, 1.0, 1.0, 0.0], excess=0.0,
+        top=1.0 - 2.0**-53, shares=[0.0] * 5, where=0,
+    )
+    @example(
+        d=5, parts=[0.0, 0.622349225526389, 0.4033190101942515, 0.0, 1.0, 0.5], excess=0.0,
+        top=3.1622776601683794e-15, shares=[0.0] * 5, where=3,
+    )
+    @example(
+        d=5, parts=[1.0, 0.5, 0.0, 1.0, 1.0, 0.5], excess=1.0,
+        top=1.6548170999431814e-15, shares=[0.0] * 5, where=0,
+    )
+    def test_uniforms_the_screen_passes_keep_the_body(self, d, parts, excess, top, shares, where):
+        # the largest uniform at index `where`, the others sharing the sum that
+        # puts the step on the screen edge; then the largest one and two
+        # doubles lower
+        rho = 1.0 / d
+        beta = np.array(parts[: d + 1])
+        assume(beta.sum() > 0.0)
+        row = (rho + excess * rho) * beta / beta.sum()
+        scale = simplex._screen_scale(row[None], rho)
+        p = np.array(shares[:d])
+        p = p / p.sum() if p.sum() > 0.0 else np.full(d, 1.0 / d)
+        rest = -np.log1p(-top) * scale[0] * p
+        assume(rest.max() < 1.0)
+        for u_max in (top, np.nextafter(top, 0.0), np.nextafter(np.nextafter(top, 0.0), 0.0)):
+            u = np.insert(rest, where % (d + 1), u_max)
+            if not simplex._screen_hits(u[None, None], scale)[0, 0]:
+                lam = simplex._uniform_weights(u[None])
+                assert offsets_after_point(row[None], lam, rho)[0].tobytes() == row.tobytes(), u
 
 
 class TestThinnedChain:
