@@ -6,7 +6,7 @@ process.  No native d-dimensional sampler exists here by design; axis ``a``
 of replica stream ``rng`` always draws from ``rng.substream(a)``, which makes
 axis assignment a pure relabeling of sub-streams.  The batch runner is one
 :func:`~diminish.interval.run_full_batch` call per axis on paths ``(a,)``, so
-it inherits the screened window engine, its chunk size and its replay contract:
+it inherits the screened window engine and its replay contract:
 batch row ``r`` equals :func:`cube_trajectory` on ``RngStream(seed, r)`` bit for bit.
 """
 
@@ -47,10 +47,8 @@ def cube_run_batch(d: int, n: int, replicas: int, seed: int):
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    excess = np.empty((replicas, d))
-    centers = np.empty((replicas, d))
-    for a in range(d):
-        radii, cent = run_full_batch(UNIFORM_LAW, n, replicas, seed, path=(a,))
-        excess[:, a] = 2.0 * n * (2.0 * radii - 1.0)
-        centers[:, a] = cent
+    axes = [run_full_batch(UNIFORM_LAW, n, replicas, seed, path=(a,)) for a in range(d)]
+    radii = np.column_stack([r for r, _ in axes])
+    centers = np.column_stack([z for _, z in axes])
+    excess = 2.0 * n * (2.0 * radii - 1.0)
     return excess.max(axis=1), excess, centers

@@ -95,12 +95,12 @@ _BLOCK_BYTES = 48e6
 def replica_blocks(
     seed: int, replicas: int, n: int, draws: int, chunk: int, path: tuple[int, ...] = ()
 ):
-    """Per-replica uniforms of ``n``-step trajectories, for the batch engines.
+    """Per-replica uniforms of ``n``-step trajectories, in chunks of at most ``chunk`` replicas.
 
     Replica ``r`` draws ``draws`` uniforms per step from
     ``RngStream(seed, r, path)`` in step order, which is what lets a batch
     row replay the scalar stepper on that stream.  Yields
-    ``(start, stop, blocks)`` per chunk of at most ``chunk`` replicas;
+    ``(start, stop, blocks)`` per chunk;
     ``blocks`` yields arrays ``u`` of shape ``(stop - start, width, draws)``
     covering the ``n`` steps in order, ``u[i, t]`` being the draws of the
     next step of replica ``start + i``.  A block is at most 48 MB and one
@@ -139,76 +139,88 @@ def _stream_blocks(streams: list[RngStream], n: int, draws: int, block: int, buf
 
 
 # Window rule of the windowed batch engines.  A round draws the next W steps of
-# every active column, W = max(1, t // _WINDOW_GROWTH) with t the step count of
-# the slowest column: a step changes the state with probability of order 1/t, so
-# most windows pass without a change.  A column's window ends at the end of its
-# uniform block (the buffer is refilled in place), and a round holds at most
-# _WINDOW_ELEMENTS column-steps.
+# every active replica of a chunk, W = max(1, t // _WINDOW_GROWTH) with t the
+# step count of the slowest one: a step changes the state with probability of
+# order 1/t, so most windows pass without a change.  A replica's window ends at
+# the end of its uniform block (the buffer is refilled in place), and a round
+# holds at most _WINDOW_ELEMENTS replica-steps.
 _WINDOW_GROWTH = 8
 _WINDOW_ELEMENTS = 2**17
 
 
 class Window:
-    """One round of :func:`window_rounds`: the next steps of the active columns.
+    """One round of :func:`window_rounds`: the next steps of the active replicas.
 
-    ``draws[i, j]`` holds the draws of window step ``j`` of column ``act[i]``.
-    Slots past the column's block end hold other draws; :meth:`advance`
-    ignores them.  ``draws`` is a round buffer, valid until the next round.
+    Window row ``i`` is replica ``act[i]`` (a global index), and
+    ``draws[i, j]`` holds the draws of its window step ``j``.  Slots past
+    its block end hold other draws; :meth:`advance` ignores them.
+    ``draws`` is a round buffer, valid until the next round.
     """
 
-    __slots__ = ("act", "draws", "_left", "_pos")
+    __slots__ = ("act", "draws", "_local", "_left", "_pos")
 
-    def __init__(self, act, draws, left, pos):
-        self.act, self.draws, self._left, self._pos = act, draws, left, pos
+    def __init__(self, act, draws, local, left, pos):
+        self.act, self.draws, self._local, self._left, self._pos = act, draws, local, left, pos
 
     def advance(self, hit):
-        """Move every column past its first hit, or past its whole window.
+        """Move every replica past its first hit, or past its whole window.
 
-        ``hit[i, j]`` says that step ``j`` of column ``act[i]`` changes the
-        state.  Returns ``(first, moved, kept)``: ``moved[i]`` says the column
-        hit, at window step ``first[i]``; ``kept[i]`` counts the unchanged
-        steps it passes, so the column moves on by ``kept + moved`` steps.
+        ``hit[i, j]`` says that window step ``j`` of row ``i`` changes the
+        state.  Returns ``(rows, at, kept)``: window row ``rows[m]`` hit at
+        window step ``at[m]``, and ``kept[i]`` counts the unchanged steps row
+        ``i`` passes, so a row moves on by ``kept`` steps plus its hit.
         """
         first = hit.argmax(axis=1)
         # a first hit past the block end means no hit inside it
         moved = hit[np.arange(first.size), first] & (first < self._left)
         kept = np.where(moved, first, np.minimum(self._left, hit.shape[1]))
-        self._pos[self.act] += kept + moved
-        return first, moved, kept
+        self._pos[self._local] += kept + moved
+        rows = np.flatnonzero(moved)
+        return rows, first[rows], kept
 
 
-def window_rounds(blocks, columns: int):
-    """Rounds of a windowed engine over the blocks of one ``replica_blocks`` chunk.
+def window_rounds(
+    seed: int, replicas: int, n: int, draws: int, chunk: int, path: tuple[int, ...] = ()
+):
+    """Rounds of a windowed engine over the :func:`replica_blocks` of all replicas.
 
-    Each column keeps its own step pointer.  A round yields a :class:`Window`
-    with the next W steps of every column not yet at its block end, W set by
+    A bad size raises :class:`DomainError` at the call.  Each replica keeps
+    its own step pointer.  A round yields a :class:`Window` with the next W
+    steps of every replica of one chunk not yet at its block end, W set by
     ``_WINDOW_GROWTH`` and ``_WINDOW_ELEMENTS``; the engine tests them for a
     change and must call :meth:`Window.advance` before asking for the next
-    round, or the columns never move.  A row then sees every step of its
-    trajectory in order, so an engine that applies each first hit exactly as
-    its scalar step would replays that step bit for bit.  The draws are
-    gathered into buffers allocated once per block: fresh arrays of a
-    round's size cost about as much as its arithmetic.
+    round, or the replicas never move.  A replica then sees every step of
+    its trajectory in order, so an engine that applies each first hit exactly
+    as its scalar step would replays that step bit for bit, with its state
+    in arrays over all replicas.  The draws are gathered into buffers
+    allocated once per block: fresh arrays of a round's size cost about as
+    much as its arithmetic.
     """
-    cap = max(_WINDOW_ELEMENTS, columns)
-    done = 0
-    for u in blocks:
-        width, draws = u.shape[1:]
-        steps = u.reshape(-1, draws)  # row i * width + t: step t of column i
-        index, gathered = np.empty(cap, dtype=np.intp), np.empty((cap, draws))
-        pos = np.zeros(columns, dtype=np.intp)
-        while (act := np.flatnonzero(pos < width)).size:
-            at = pos[act]
-            slowest = int(at.min())
-            budget = _WINDOW_ELEMENTS // act.size
-            wide = max(1, min(width - slowest, (done + slowest) // _WINDOW_GROWTH, budget))
-            size = act.size * wide
-            idx = index[:size].reshape(act.size, wide)
-            np.add((act * width + at)[:, None], np.arange(wide), out=idx)
-            out = gathered[:size].reshape(act.size, wide, draws)
-            # "clip" keeps the last column's overrun inside the block
-            yield Window(act, np.take(steps, idx, axis=0, out=out, mode="clip"), width - at, pos)
-        done += width
+    return _rounds(replica_blocks(seed, replicas, n, draws, chunk, path))
+
+
+def _rounds(chunks):
+    for start, stop, blocks in chunks:
+        cap = max(_WINDOW_ELEMENTS, stop - start)
+        done = 0
+        for u in blocks:
+            width, draws = u.shape[1:]
+            steps = u.reshape(-1, draws)  # row i * width + t: step t of chunk row i
+            index, gathered = np.empty(cap, dtype=np.intp), np.empty((cap, draws))
+            pos = np.zeros(stop - start, dtype=np.intp)
+            while (local := np.flatnonzero(pos < width)).size:
+                at = pos[local]
+                slowest = int(at.min())
+                budget = _WINDOW_ELEMENTS // local.size
+                wide = max(1, min(width - slowest, (done + slowest) // _WINDOW_GROWTH, budget))
+                size = local.size * wide
+                idx = index[:size].reshape(local.size, wide)
+                np.add((local * width + at)[:, None], np.arange(wide), out=idx)
+                out = gathered[:size].reshape(local.size, wide, draws)
+                # "clip" keeps the last row's overrun inside the block
+                np.take(steps, idx, axis=0, out=out, mode="clip")
+                yield Window(local + start, out, local, width - at, pos)
+            done += width
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +377,9 @@ def simplex_height(d: int) -> LawSpec:
 def law_eval(law: LawSpec, x):
     """Analytic CDF of ``law`` at ``x``.
 
-    The symmetric Dirichlet has no scalar CDF; it evaluates its joint
-    density at a simplex point instead.
+    A law without a scalar CDF (the symmetric Dirichlet) raises
+    :class:`ConfigurationError`; :func:`dirichlet_pdf` gives its density.
     """
-    if law.kind == "dirichlet_sym":
-        dim, a = int(law.params[0]), law.params[1]
-        return dirichlet_pdf(np.full(dim, a), x)
     arr = np.asarray(x, dtype=float)
     if law.kind == "weibull":
         (delta,) = law.params
@@ -393,7 +402,7 @@ def law_eval(law: LawSpec, x):
         clipped = np.clip(arr, 0.0, 1.0)
         out = 1.0 - (1.0 - clipped) ** d
     else:
-        raise ConfigurationError(f"unsupported law kind: {law.kind!r}")
+        raise ConfigurationError(f"no scalar CDF for law kind {law.kind!r}")
     return float(out) if out.ndim == 0 else out
 
 

@@ -18,7 +18,8 @@ The full batch runner does not evaluate every step.  A step keeps the
 interval exactly when its quantile lies in ``[1 - 1/(2r), 1/(2r)]``, which
 is a band of raw uniforms, so each replica screens a window of uniforms
 against its band and jumps to the first one outside it; only that one goes
-through the quantile and the exact update (see :func:`run_full_batch`).
+through the quantile and the exact update (see :func:`run_full_batch`);
+:func:`~diminish.distributions.window_rounds` chunks the replicas.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DfForm, RngStream, df_form_ppf, replica_blocks, window_rounds
+from .distributions import DfForm, RngStream, df_form_ppf, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -245,12 +246,12 @@ def run_full_batch(
     trajectory for the same stream.  Returns ``(radii, centers)``.
 
     The engine screens steps on their raw uniforms.  A step whose uniform
-    lies strictly inside its column's :func:`_keep_band` leaves the interval
+    lies strictly inside its replica's :func:`_keep_band` leaves the interval
     as it is; the rounds of :func:`~diminish.distributions.window_rounds`
-    move each column to its first step outside the band (a candidate).  Only
+    move each replica to its first step outside the band (a candidate).  Only
     a candidate goes through :func:`df_form_ppf` and the exact update of
     :func:`apply_full_step`; a candidate that the exact test keeps is an
-    unchanged step, and a change recomputes its column's band.
+    unchanged step, and a change recomputes its replica's band.
 
     The screen is sound because its margin sits in x, not in u.  A uniform
     inside the band has a quantile at least ``eta`` inside the keep range up
@@ -262,30 +263,24 @@ def run_full_batch(
     ``x ~ 2 (r - 1/2)``, where the CDF's slope ``delta u / x`` is large, so
     1e-9 in u can shrink below the keep test's rounding in x.
     """
-    radii = np.empty(replicas)
-    centers = np.empty(replicas)
-    for start, stop, blocks in replica_blocks(seed, replicas, n, 1, _CHUNK, path):
-        z = np.zeros(stop - start)
-        r = np.ones(stop - start)
-        lo, hi = _keep_band(r, law)
-        for w in window_rounds(blocks, stop - start):
-            u = w.draws[..., 0]
-            hit = (u <= lo[w.act, None]) | (u >= hi[w.act, None])
-            first, moved, _ = w.advance(hit)
-            rows = np.flatnonzero(moved)
-            if not rows.size:
-                continue
-            cc = w.act[rows]
-            x = df_form_ppf(u[rows, first[rows]], law)
-            zc, rc = z[cc], r[cc]
-            p = zc - rc + 2.0 * rc * x
-            change = (p - 1.0 > zc - rc) | (p + 1.0 < zc + rc)
-            cc, zc, rc, p = cc[change], zc[change], rc[change], p[change]
-            a = np.maximum(zc - rc, p - 1.0)
-            b = np.minimum(zc + rc, p + 1.0)
-            z[cc] = 0.5 * (a + b)
-            r[cc] = 0.5 * (b - a)
-            lo[cc], hi[cc] = _keep_band(r[cc], law)
-        radii[start:stop] = r
-        centers[start:stop] = z
-    return radii, centers
+    rounds = window_rounds(seed, replicas, n, 1, _CHUNK, path)
+    z = np.zeros(replicas)
+    r = np.ones(replicas)
+    lo, hi = _keep_band(r, law)
+    for w in rounds:
+        u = w.draws[..., 0]
+        rows, at, _ = w.advance((u <= lo[w.act, None]) | (u >= hi[w.act, None]))
+        if not rows.size:
+            continue
+        cc = w.act[rows]
+        x = df_form_ppf(u[rows, at], law)
+        zc, rc = z[cc], r[cc]
+        p = zc - rc + 2.0 * rc * x
+        change = (p - 1.0 > zc - rc) | (p + 1.0 < zc + rc)
+        cc, zc, rc, p = cc[change], zc[change], rc[change], p[change]
+        a = np.maximum(zc - rc, p - 1.0)
+        b = np.minimum(zc + rc, p + 1.0)
+        z[cc] = 0.5 * (a + b)
+        r[cc] = 0.5 * (b - a)
+        lo[cc], hi[cc] = _keep_band(r[cc], law)
+    return r, z

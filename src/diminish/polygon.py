@@ -34,6 +34,7 @@ draws a window of steps from its current geometry in one vector call and
 jumps to the first step that raises an offset, with the same strict test the
 scalar step applies.  Only replicas that changed recompute their geometry,
 and an unchanged step adds nothing new to any accumulator.
+:func:`~diminish.distributions.window_rounds` chunks the replicas.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import RngStream, replica_blocks, window_rounds
+from .distributions import RngStream, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -537,15 +538,14 @@ def run_polygon_batch(k: int, n: int, replicas: int, seed: int) -> PolygonBatchR
     geometry kernel and fan sampler as :func:`polygon_step`, so each row
     replays the scalar trajectory bit for bit.
 
-    The engine runs in rounds.  Each replica column keeps its own step
-    pointer; a round draws the next window of steps of every column from the
-    column's current geometry and finds the first step whose point raises an
-    offset, ``<p, q_i> - rho > o_i`` (the strict test under which the scalar
-    ``np.maximum`` changes ``o``).  A column without one advances the whole
-    window; a column whose first change is window step f advances f + 1
-    steps, takes that point's offsets, and only such columns go through
-    :func:`_cycles` again.  The rounds are those of
-    :func:`~diminish.distributions.window_rounds`.
+    The engine runs in the rounds of
+    :func:`~diminish.distributions.window_rounds`.  A round draws the next
+    window of steps of every replica from its current geometry and finds the
+    first step whose point raises an offset, ``<p, q_i> - rho > o_i`` (the
+    strict test under which the scalar ``np.maximum`` changes ``o``).  A
+    replica without one advances the whole window; a replica whose first
+    change is window step f advances f + 1 steps, takes that point's
+    offsets, and only such replicas go through :func:`_cycles` again.
 
     All n + 1 states of a row feed the accumulators.  An unchanged step
     repeats the state, so it leaves the area, slack and residual extremes as
@@ -560,74 +560,65 @@ def run_polygon_batch(k: int, n: int, replicas: int, seed: int) -> PolygonBatchR
     rho = math.cos(math.pi / k)
     is_pentagon = k == 5
 
-    final_heights = np.empty((replicas, k))
-    final_area = np.empty(replicas)
+    rounds = window_rounds(seed, replicas, n, 3, _CHUNK)
     area_min = np.full(replicas, np.inf)
     area_max = np.full(replicas, -np.inf)
     max_residual = np.zeros(replicas) if is_pentagon else None
     min_slack = np.full(replicas, np.inf)
     max_rise = np.full(replicas, -np.inf)
     fallback = np.zeros(replicas, dtype=int)
+    tight = np.zeros(replicas, dtype=bool)
 
-    for start, stop, blocks in replica_blocks(seed, replicas, n, 3, _CHUNK):
-        c = stop - start
-        tight = np.zeros(c, dtype=bool)
-        # views: the accumulators update their rows of the result in place
-        sl_min, a_min, a_max, rise, falls = (
-            a[start:stop] for a in (min_slack, area_min, area_max, max_rise, fallback)
+    def enter(cols, new: _Cycle):
+        """Feed the new states of replicas ``cols`` to the accumulators."""
+        tight[cols] = False if new.tightened is None else new.tightened
+        fallback[cols] += tight[cols]
+        min_slack[cols] = np.minimum(min_slack[cols], new.slack)
+        area_min[cols] = np.minimum(area_min[cols], new.area)
+        area_max[cols] = np.maximum(area_max[cols], new.area)
+        if is_pentagon:
+            resid = np.abs(pentagon_residual(new.heights.T))
+            max_residual[cols] = np.maximum(max_residual[cols], resid)
+
+    o = np.full((k, replicas), -rho)
+    # every replica starts from K, so one column's geometry serves them all
+    g = _Cycle(*(np.repeat(a, replicas, axis=-1) for a in _cycles(o[:, :1])[:-1]), None)
+    enter(slice(None), g)
+    for w in rounds:
+        act = w.act
+        px, py = _fan_points(
+            _Cycle(*(a[..., act] for a in g[:-1]), None), w.draws.transpose(2, 0, 1)
         )
-        resid = max_residual[start:stop] if is_pentagon else None
-
-        def enter(cols, new: _Cycle):
-            """Feed the new states of columns ``cols`` to the accumulators."""
-            tight[cols] = False if new.tightened is None else new.tightened
-            falls[cols] += tight[cols]
-            sl_min[cols] = np.minimum(sl_min[cols], new.slack)
-            a_min[cols] = np.minimum(a_min[cols], new.area)
-            a_max[cols] = np.maximum(a_max[cols], new.area)
-            if is_pentagon:
-                resid[cols] = np.maximum(resid[cols], np.abs(pentagon_residual(new.heights.T)))
-
-        o = np.full((k, c), -rho)
-        g = _cycles(o)
-        enter(slice(None), g)
-        for w in window_rounds(blocks, c):
-            act = w.act
-            px, py = _fan_points(
-                _Cycle(*(a[..., act] for a in g[:-1]), None), w.draws.transpose(2, 0, 1)
-            )
-            # qx * px + qy * py - rho > o_i, in place: fresh temporaries of
-            # this size cost about as much as the arithmetic
-            lifts = np.zeros(px.shape, dtype=bool)
-            t, s, b = np.empty_like(px), np.empty_like(px), np.empty_like(lifts)
-            for (qx, qy), oi in zip(dirs, o[:, act]):
-                np.multiply(qx, px, out=t)
-                t += np.multiply(qy, py, out=s)
-                t -= rho
-                lifts |= np.greater(t, oi[:, None], out=b)
-            first, moved, kept = w.advance(lifts)  # kept: unchanged states entered
-            falls[act] += kept * tight[act]
-            rise[act] = np.where(kept > 0, np.maximum(rise[act], 0.0), rise[act])
-            rows = np.flatnonzero(moved)
-            if not rows.size:
-                continue
-            cc = act[rows]
-            hx, hy = px[rows, first[rows]], py[rows, first[rows]]
-            o[:, cc] = np.maximum(o[:, cc], dirs[:, 0, None] * hx + dirs[:, 1, None] * hy - rho)
-            new = _cycles(o[:, cc])
-            enter(cc, new)
-            rise[cc] = np.maximum(rise[cc], (new.heights - g.heights[:, cc]).max(axis=0))
-            for whole, part in zip(g[:-1], new[:-1]):
-                whole[..., cc] = part
-        final_heights[start:stop] = g.heights.T
-        final_area[start:stop] = g.area
-    if np.any(final_area <= 0.0):
+        # qx * px + qy * py - rho > o_i, in place: fresh temporaries of
+        # this size cost about as much as the arithmetic
+        lifts = np.zeros(px.shape, dtype=bool)
+        t, s, b = np.empty_like(px), np.empty_like(px), np.empty_like(lifts)
+        for (qx, qy), oi in zip(dirs, o[:, act]):
+            np.multiply(qx, px, out=t)
+            t += np.multiply(qy, py, out=s)
+            t -= rho
+            lifts |= np.greater(t, oi[:, None], out=b)
+        rows, at, kept = w.advance(lifts)  # kept: unchanged states entered
+        fallback[act] += kept * tight[act]
+        max_rise[act] = np.where(kept > 0, np.maximum(max_rise[act], 0.0), max_rise[act])
+        if not rows.size:
+            continue
+        cc = act[rows]
+        hx, hy = px[rows, at], py[rows, at]
+        o[:, cc] = np.maximum(o[:, cc], dirs[:, 0, None] * hx + dirs[:, 1, None] * hy - rho)
+        new = _cycles(o[:, cc])
+        enter(cc, new)
+        max_rise[cc] = np.maximum(max_rise[cc], (new.heights - g.heights[:, cc]).max(axis=0))
+        for whole, part in zip(g[:-1], new[:-1]):
+            whole[..., cc] = part
+    final_heights = np.ascontiguousarray(g.heights.T)
+    if np.any(g.area <= 0.0):
         raise StateCorruptionError("a replica degenerated to nonpositive area")
     return PolygonBatchResult(
         k=k,
         n=n,
         final_heights=final_heights,
-        final_area=final_area,
+        final_area=g.area.copy(),
         max_height=final_heights.max(axis=1),
         area_min=area_min,
         area_max=area_max,

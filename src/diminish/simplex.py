@@ -27,7 +27,8 @@ only the largest of the weights ``w = -log1p(-u)`` can trigger a change,
 every other one obeys ``w >= u``, and ``eta = 1e-12`` covers the rounding.
 Each replica screens a window of steps on that test and jumps to the first
 one it does not pass; only that one goes through the scalar step's kernels
-on the same draws (see :func:`run_simplex_batch`).
+on the same draws (see :func:`run_simplex_batch`);
+:func:`~diminish.distributions.window_rounds` chunks the replicas.
 """
 
 from __future__ import annotations
@@ -356,31 +357,24 @@ def run_simplex_batch(d: int, n: int, replicas: int, seed: int):
     the other uniforms are so small that ``w_j >= u_j`` leaves no slack.
 
     The rounds of :func:`~diminish.distributions.window_rounds` move each
-    column to its first step the screen does not pass (a candidate).  Only
+    replica to its first step the screen does not pass (a candidate).  Only
     a candidate goes through :func:`_uniform_weights` and
     :func:`offsets_after_point`, exactly as the scalar step does; a candidate
     that keeps the body is an unchanged step, and a candidate that moves the
     row refreshes its screen factor.
     """
-    chunks = replica_blocks(seed, replicas, n, d + 1, _CHUNK)
     e = vertex_matrix(d)
+    rounds = window_rounds(seed, replicas, n, d + 1, _CHUNK)
     rho = 1.0 / d
-    heights = np.empty(replicas)
-    centers = np.empty((replicas, d))
-    for start, stop, blocks in chunks:
-        offsets = np.full((stop - start, d + 1), 2.0 * rho / (d + 1))
-        scale = _screen_scale(offsets, rho)
-        for w in window_rounds(blocks, stop - start):
-            first, moved, _ = w.advance(_screen_hits(w.draws, scale[w.act]))
-            rows = np.flatnonzero(moved)
-            if rows.size:
-                cc = w.act[rows]
-                lam = _uniform_weights(w.draws[rows, first[rows]])
-                offsets[cc] = offsets_after_point(offsets[cc], lam, rho)
-                scale[cc] = _screen_scale(offsets[cc], rho)
-        heights[start:stop] = offsets.sum(axis=1)
-        centers[start:stop] = -(d / (d + 1)) * (offsets @ e)
-    return heights, centers
+    offsets = np.full((replicas, d + 1), 2.0 * rho / (d + 1))
+    scale = _screen_scale(offsets, rho)
+    for w in rounds:
+        rows, at, _ = w.advance(_screen_hits(w.draws, scale[w.act]))
+        if rows.size:
+            cc = w.act[rows]
+            offsets[cc] = offsets_after_point(offsets[cc], _uniform_weights(w.draws[rows, at]), rho)
+            scale[cc] = _screen_scale(offsets[cc], rho)
+    return offsets.sum(axis=1), -(d / (d + 1)) * (offsets @ e)
 
 
 def run_thinned_batch(d: int, replicas: int, seed: int):
@@ -390,8 +384,11 @@ def run_thinned_batch(d: int, replicas: int, seed: int):
     motion of the weights is then below that), within 1024 changes; replica
     ``r`` replays the scalar stepper on ``RngStream(seed, r)`` bit for bit.
     """
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
+    chunks = replica_blocks(seed, replicas, _THINNED_TERMS, 2, _THINNED_CHUNK)
     out = np.empty((replicas, d + 1))
-    for start, stop, blocks in replica_blocks(seed, replicas, _THINNED_TERMS, 2, _THINNED_CHUNK):
+    for start, stop, blocks in chunks:
         w = np.full((stop - start, d + 1), 1.0 / (d + 1))
         ell = np.full(stop - start, 1.0 / d)
         for ut in (u[:, t] for u in blocks for t in range(u.shape[1])):

@@ -25,9 +25,15 @@ from diminish.distributions import (
     simplex_height_sample,
     weibull,
     LawSpec,
+    dirichlet_sym,
     replica_blocks,
+    window_rounds,
 )
+from diminish.cube import cube_run_batch
 from diminish.errors import ConfigurationError, DomainError
+from diminish.interval import run_full_batch
+from diminish.polygon import run_polygon_batch
+from diminish.simplex import run_simplex_batch
 from diminish.stats import ks_stat, ks_two_sample
 
 
@@ -84,6 +90,44 @@ class TestReplicaBlocks:
             steps = np.concatenate(steps, axis=1)
             for i, r in enumerate(range(start, stop)):
                 assert steps[i].tobytes() == RngStream(1, r).uniform((5, 3)).tobytes()
+
+
+class TestWindowRounds:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_step_visited_once_in_order(self, monkeypatch, seed):
+        # 8 replicas in chunks of 3, 3 and 2; blocks of 4 steps
+        replicas, n, draws, chunk, path = 8, 30, 2, 3, (1,)
+        monkeypatch.setattr(distributions, "_BLOCK_BYTES", chunk * 4 * draws * 8)
+        masks = np.random.default_rng(seed)
+        seen = [[] for _ in range(replicas)]
+        for w in window_rounds(seed, replicas, n, draws, chunk, path):
+            assert len(set(w.act // chunk)) == 1  # one chunk per round, global ids
+            hit = masks.random(w.draws.shape[:2]) < 0.2
+            rows, at, kept = w.advance(hit)
+            moved = np.zeros(len(w.act), dtype=bool)
+            moved[rows] = True
+            assert np.array_equal(at, kept[rows]) and hit[rows, at].all()
+            for i, r in enumerate(w.act):
+                assert not hit[i, : kept[i]].any()
+                seen[r].extend(w.draws[i, : kept[i] + moved[i]].copy())  # a round buffer
+        for r in range(replicas):
+            stream = RngStream(seed, r, path).uniform((n, draws))
+            assert np.array(seen[r]).tobytes() == stream.tobytes()
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            lambda n, replicas: run_full_batch(F32, n, replicas, 1),
+            lambda n, replicas: cube_run_batch(3, n, replicas, 1),
+            lambda n, replicas: run_simplex_batch(2, n, replicas, 1),
+            lambda n, replicas: run_polygon_batch(5, n, replicas, 1),
+        ],
+        ids=["interval", "cube", "simplex", "polygon"],
+    )
+    @pytest.mark.parametrize("n,replicas", [(0, 10), (10, 0), (10, -1)])
+    def test_engines_reject_bad_sizes(self, engine, n, replicas):
+        with pytest.raises(DomainError, match="n and replicas"):
+            engine(n, replicas)
 
 
 class TestDfForm:
@@ -240,6 +284,10 @@ class TestLawEval:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             law_eval(LawSpec("cauchy"), 0.5)
+
+    def test_dirichlet_has_no_scalar_cdf(self):
+        with pytest.raises(ConfigurationError, match="dirichlet_sym"):
+            cdf_callable(dirichlet_sym(3, 0.5))(np.array([0.2, 0.3, 0.5]))
 
     @pytest.mark.parametrize(
         "law",

@@ -1,0 +1,86 @@
+"""Pinned sha256 of every step engine's outputs at tiny sizes: the replay contract.
+
+Each engine runs 10 replicas in chunks of 4, 4 and 2, so a change to how
+replicas are chunked, drawn or stepped that moves any output by one ulp, or
+changes a shape, dtype or memory order, shows here.  The hashes were taken
+with numpy 2.4.6; a numpy whose float kernels round differently moves them
+too, which is why a failure names the version it ran on.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from diminish import interval, polygon, simplex
+from diminish.cube import cube_run_batch
+from diminish.distributions import DfForm
+from diminish.interval import run_full_batch
+from diminish.polygon import run_polygon_batch
+from diminish.simplex import run_simplex_batch
+
+REPLICAS, CHUNK, SEED = 10, 4, 5
+
+
+def _fields(result):
+    return [getattr(result, f.name) for f in dataclasses.fields(result)]
+
+
+ENGINES = {
+    "interval-c0.3-d2": lambda: run_full_batch(DfForm(0.3, 2.0), 300, REPLICAS, SEED),
+    "interval-c0.5-d1": lambda: run_full_batch(DfForm(0.5, 1.0), 300, REPLICAS, SEED),
+    "interval-c0-d0.5": lambda: run_full_batch(DfForm(0.0, 0.5), 300, REPLICAS, SEED),
+    "interval-c0.8-d0.25": lambda: run_full_batch(DfForm(0.8, 0.25), 300, REPLICAS, SEED, (2,)),
+    "interval-c1-d3": lambda: run_full_batch(DfForm(1.0, 3.0), 300, REPLICAS, SEED),
+    "cube-d3": lambda: cube_run_batch(3, 300, REPLICAS, SEED),
+    "simplex-d1": lambda: run_simplex_batch(1, 300, REPLICAS, SEED),
+    "simplex-d2": lambda: run_simplex_batch(2, 300, REPLICAS, SEED),
+    "simplex-d3": lambda: run_simplex_batch(3, 300, REPLICAS, SEED),
+    "simplex-d5": lambda: run_simplex_batch(5, 300, REPLICAS, SEED),
+    **{
+        f"polygon-k{k}": lambda k=k: _fields(run_polygon_batch(k, 150, REPLICAS, SEED))
+        for k in range(5, 10)
+    },
+}
+
+PINNED = {
+    "cube-d3": "a1510da543e699a7af213c443685c59881d56a7fca4211da96beea61703c8d8e",
+    "interval-c0-d0.5": "6bf0d8dadceb3cad55d84cd2dd909774f29a187b1881697a61c6ec6e594b7182",
+    "interval-c0.3-d2": "4a2b251317f93c77c48e464cc77b21fcea64e4a0bcb70d7865f83f6024a15da8",
+    "interval-c0.5-d1": "d4a9eb35a459abf16e22c823ae43f1c44cd7d246d99319bf68648cfd87b01e7b",
+    "interval-c0.8-d0.25": "8c3ea185d45423d688fad6a745034e870b4d0cd90aed3f6fdc5af00e74d1b3a1",
+    "interval-c1-d3": "dfca7a9f1219e1e6f81e819f5ecc69acc1b92adc17a4e928d7ea6f6d7c63089d",
+    "polygon-k5": "26b09efb4deec701221d5972c88e05aeac6e2eb0f56e67205e01e01c3e344feb",
+    "polygon-k6": "8b604500531c7126bf9a70d465a85a86c87b10feefb675cb6fdb08af4142ae74",
+    "polygon-k7": "5843065d86fe1c6af180cca1891d665ef1e03f1d4882c1d205c1ff290933d5b2",
+    "polygon-k8": "60e9af680951fbbe10a39399d002de79e85c2e3f15590047ef848fd95658354b",
+    "polygon-k9": "0ce05dcd178ad3300356711991f166522a0b1e844b3219e59918677e3ab03e25",
+    "simplex-d1": "2c5fde1f23597760874c3cbeba94c976bd2fb8e6756bbbcbdc6d1e02942451cc",
+    "simplex-d2": "41b17be52e144c0a1e83d4a57b3a8b852c834e61766f9dedcc45c623174beed5",
+    "simplex-d3": "ccc13c6f2cae79857c3ff0a0d64e638cad32dc14440437cffcb62f6e2e4b585f",
+    "simplex-d5": "2bcbeb69792c7956558926736a9b1c7d3d7475521c8bef3a984197a5d668f135",
+}
+
+
+def _digest(outputs) -> str:
+    h = hashlib.sha256()
+    for a in outputs:
+        if a is None:
+            h.update(b"None")
+            continue
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}{a.flags.c_contiguous}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_outputs_match_pinned_hash(monkeypatch, name):
+    for module in (interval, simplex, polygon):
+        monkeypatch.setattr(module, "_CHUNK", CHUNK)
+    got = _digest(ENGINES[name]())
+    assert got == PINNED[name], (
+        f"{name}: outputs moved from the pinned replay on numpy {np.__version__} "
+        f"(pinned with numpy 2.4.6): got {got}"
+    )

@@ -72,6 +72,13 @@ class TestStartState:
     def test_zero_dimension(self):
         with pytest.raises(DomainError):
             simplex_new(0)
+        with pytest.raises(DomainError):
+            run_thinned_batch(0, 3, 1)
+
+    @pytest.mark.parametrize("replicas", [0, -1])
+    def test_thinned_batch_rejects_bad_replicas(self, replicas):
+        with pytest.raises(DomainError, match="replicas"):
+            run_thinned_batch(2, replicas, 1)
 
     def test_center_at_origin(self):
         assert np.allclose(simplex_new(3).center, 0.0, atol=1e-15)
