@@ -10,9 +10,11 @@ variates so that shape parameters below one are handled correctly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 from .errors import ConfigurationError, DomainError
@@ -50,16 +52,24 @@ class RngStream:
     addresses give statistically independent streams (PCG64 seeded through
     ``numpy.random.SeedSequence`` spawn keys).  ``stream_id`` is the replica
     index; :meth:`substream` derives per-component children, e.g. one per
-    cube axis.  A stream may be moved between threads but must not be shared
-    concurrently.
+    cube axis.  Every part of the address is an integer >= 0 (numpy integers
+    included); anything else raises :class:`DomainError`.  A stream may be
+    moved between threads but must not be shared concurrently.
+
+    This constructor seeds through numpy's own ``SeedSequence``.  The batch
+    engines build the streams of a whole chunk of replicas at once
+    (:func:`replica_blocks`): they compute the same PCG64 seeding words for
+    every replica with the published SeedSequence hash in ``uint32`` column
+    arithmetic, so each of their streams draws bit for bit what
+    ``RngStream(seed, r, path)`` draws.
     """
 
     __slots__ = ("seed", "stream_id", "path", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0, path: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self.path = tuple(int(p) for p in path)
+        self.seed = _address(seed, "seed")
+        self.stream_id = _address(stream_id, "stream_id")
+        self.path = tuple(_address(p, "path entry") for p in path)
         key = (self.stream_id, *self.path)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=key))
@@ -89,6 +99,106 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, path={self.path})"
 
 
+def _address(value, what: str) -> int:
+    """``value`` as a stream-address integer >= 0, or :class:`DomainError`."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer >= 0, got {value!r}") from None
+    if v < 0:
+        raise DomainError(f"{what} must be an integer >= 0, got {v}")
+    return v
+
+
+# numpy's SeedSequence with its pool of 4 uint32 words: these constants and the
+# steps of _pcg64_words are its published hash, which numpy's random-stream
+# compatibility policy keeps fixed (the tests compare it with SeedSequence).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+# Batch stream ids stay below 2**32, so every replica's spawn key puts exactly
+# one word in the same place of its entropy.
+_MAX_REPLICAS = 2**32
+
+
+def _uint32_words(x: int) -> list[int]:
+    """Little-endian 32-bit words of ``x >= 0``; ``[0]`` for zero."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _pcg64_words(seed: int, ids: np.ndarray, path: tuple[int, ...]) -> np.ndarray:
+    """PCG64 seeding words of the streams ``(seed, r, path)`` for ``r`` in ``ids``.
+
+    Row ``i`` of the ``(len(ids), 4)`` result is
+    ``SeedSequence(seed, spawn_key=(ids[i], *path)).generate_state(4, np.uint64)``.
+    Each ``0 <= r < 2**32`` is one entropy word, so every replica runs the
+    same data-independent schedule of the hash and only one word differs.
+    The words shared by all replicas are Python ints, the ids a ``uint32``
+    column, and every step reduces modulo 2**32: on a column, numpy's array
+    (not scalar) arithmetic wraps without a warning, as the C hash does.
+    """
+    run = _uint32_words(seed)
+    # a non-empty spawn key pads the seed's words to the pool size
+    entropy = run + [0] * (_POOL - len(run)) + [ids.astype(np.uint32)]
+    entropy += [w for p in path for w in _uint32_words(p)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * _MULT_A) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const, state = _INIT_B, []
+    for i in range(2 * _POOL):  # generate_state(4, uint64): 8 uint32 words
+        value = pool[i % _POOL] ^ const
+        const = (const * _MULT_B) & _MASK32
+        value = (value * const) & _MASK32
+        state.append(value ^ (value >> 16))
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Seed source handing PCG64 the state words :func:`_pcg64_words` computed."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise NotImplementedError("only PCG64's generate_state(4, np.uint64) is precomputed")
+        return self._words
+
+
+def _chunk_streams(seed: int, start: int, stop: int, path: tuple[int, ...]) -> list[RngStream]:
+    """``RngStream(seed, r, path)`` for ``r`` in ``[start, stop)``, seeded in one hash pass."""
+    streams = []
+    for r, words in zip(range(start, stop), _pcg64_words(seed, np.arange(start, stop), path)):
+        s = RngStream.__new__(RngStream)
+        s.seed, s.stream_id, s.path = seed, r, path
+        s._gen = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        streams.append(s)
+    return streams
+
+
 _BLOCK_BYTES = 48e6
 
 
@@ -108,11 +218,23 @@ def replica_blocks(
     until the next one is requested;
     blocks are filled on demand, so an engine that stops early draws no
     further.
+
+    A chunk's streams are seeded together: the SeedSequence hash runs once
+    over the chunk's replica ids (:func:`_pcg64_words`) and gives each
+    replica the PCG64 state words numpy's own ``SeedSequence`` gives
+    ``RngStream(seed, r, path)``, so the draws are the same bit for bit.
+    A bad size, a seed or path entry that is not an integer >= 0, or more
+    than 2**32 replicas (stream ids stay one hash word wide) raises
+    :class:`DomainError` at the call.
     """
     if n < 1 or replicas < 1:
         raise DomainError("n and replicas must be >= 1")
     if chunk < 1:
         raise DomainError(f"chunk must be >= 1, got {chunk}")
+    if replicas > _MAX_REPLICAS:
+        raise DomainError(f"replicas must be <= 2**32, got {replicas}")
+    seed = _address(seed, "seed")
+    path = tuple(_address(p, "path entry") for p in path)
     return _replica_chunks(seed, replicas, n, draws, chunk, path)
 
 
@@ -125,7 +247,7 @@ def _replica_chunks(seed, replicas, n, draws, chunk, path):
     buffer = np.empty(rows * block * draws)
     for start in range(0, replicas, chunk):
         stop = min(start + chunk, replicas)
-        streams = [RngStream(seed, r, path) for r in range(start, stop)]
+        streams = _chunk_streams(seed, start, stop, path)
         yield start, stop, _stream_blocks(streams, n, draws, block, buffer)
 
 
@@ -184,7 +306,8 @@ def window_rounds(
 ):
     """Rounds of a windowed engine over the :func:`replica_blocks` of all replicas.
 
-    A bad size raises :class:`DomainError` at the call.  Each replica keeps
+    A bad size or stream address raises :class:`DomainError` at the call,
+    as in :func:`replica_blocks`.  Each replica keeps
     its own step pointer.  A round yields a :class:`Window` with the next W
     steps of every replica of one chunk not yet at its block end, W set by
     ``_WINDOW_GROWTH`` and ``_WINDOW_ELEMENTS``; the engine tests them for a

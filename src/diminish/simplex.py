@@ -417,6 +417,10 @@ def heights_after_changes(d: int, n_changes: int, replicas: int, seed: int):
     ``j``; it then goes through the ordinary offset update, and no height
     law is assumed anywhere.  Shared-stream vectorized diagnostic.
     """
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
+    if replicas < 1 or n_changes < 0:
+        raise DomainError("replicas must be >= 1 and n_changes >= 0")
     rho = 1.0 / d
     rng = RngStream(seed)
     offsets = np.full((replicas, d + 1), 2.0 * rho / (d + 1))

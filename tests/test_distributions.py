@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from diminish.cube import cube_run_batch
 from diminish.errors import ConfigurationError, DomainError
 from diminish.interval import run_full_batch
 from diminish.polygon import run_polygon_batch
-from diminish.simplex import run_simplex_batch
+from diminish.simplex import run_simplex_batch, run_thinned_batch
 from diminish.stats import ks_stat, ks_two_sample
 
 
@@ -70,12 +71,93 @@ class TestRngStream:
         assert not buffer[0].any() and not buffer[2].any()
         assert s.uniform(3).tobytes() == fresh.uniform(3).tobytes()
 
+    @pytest.mark.parametrize(
+        "address", [(1.5,), (-1,), ("3",), (None,), (1, 2.0), (1, -2), (1, 0, (1.5,)), (1, 0, (-1,))]
+    )
+    def test_address_must_be_integers_at_least_zero(self, address):
+        with pytest.raises(DomainError, match="integer >= 0"):
+            RngStream(*address)
+
+    def test_numpy_integers_address_the_same_stream(self):
+        s = RngStream(np.int64(42), np.uint32(3), (np.int8(1),))
+        assert (s.seed, s.stream_id, s.path) == (42, 3, (1,)) and type(s.seed) is int
+        assert s.uniform(4).tobytes() == RngStream(42, 3, (1,)).uniform(4).tobytes()
+
+
+# Seeds of one to five 32-bit words, and path entries of one and two words.
+SEEDS = st.integers(0, 2**140) | st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 1])
+PATHS = st.lists(st.integers(0, 2**40) | st.sampled_from([0, 2**32 - 1, 2**32]), max_size=3).map(tuple)
+
+
+class TestBatchSeeding:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=SEEDS,
+        path=PATHS,
+        start=st.integers(0, 2**32 - 1) | st.integers(0, 20),
+        width=st.integers(1, 6),
+    )
+    @example(seed=2**100 + 1, path=(2**32, 0, 7), start=2**32 - 3, width=3)
+    def test_words_equal_seed_sequence(self, seed, path, start, width):
+        ids = np.arange(start, min(start + width, 2**32))
+        words = distributions._pcg64_words(seed, ids, path)
+        assert words.dtype == np.uint64 and words.shape == (len(ids), 4)
+        for r, row in zip(ids, words):
+            ref = np.random.SeedSequence(seed, spawn_key=(int(r), *path)).generate_state(4, np.uint64)
+            assert row.tobytes() == ref.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, path=PATHS, replicas=st.integers(1, 9), chunk=st.integers(1, 4))
+    def test_chunks_replay_scalar_streams_across_chunk_edges(self, seed, path, replicas, chunk):
+        for start, stop, blocks in replica_blocks(seed, replicas, 3, 2, chunk, path):
+            (u,) = blocks
+            for i, r in enumerate(range(start, stop)):
+                assert u[i].tobytes() == RngStream(seed, r, path).uniform((3, 2)).tobytes()
+
+    @pytest.mark.parametrize("seed,path", [(7, ()), (2**64 + 3, (2**33, 1)), (0, (0,))])
+    def test_batch_streams_draw_what_scalar_streams_draw(self, seed, path):
+        for s in distributions._chunk_streams(seed, 4094, 4099, path):
+            ref = RngStream(seed, s.stream_id, path)
+            assert (s.seed, s.path) == (ref.seed, ref.path)
+            assert s.uniform((2, 3)).tobytes() == ref.uniform((2, 3)).tobytes()
+            assert s.integers(7, 5).tobytes() == ref.integers(7, 5).tobytes()
+            assert s.gamma(0.4, 3).tobytes() == ref.gamma(0.4, 3).tobytes()
+            assert s.uniform(2).tobytes() == ref.uniform(2).tobytes()
+            sub, ref_sub = s.substream(2, 5), ref.substream(2, 5)
+            assert sub.uniform(3).tobytes() == ref_sub.uniform(3).tobytes()
+
+    def test_hash_raises_no_floating_point_warning(self):
+        # numpy scalar uint32 products warn on overflow; the hash's column
+        # products must wrap silently, as the C hash does
+        ids = np.array([0, 1, 2**31, 2**32 - 1])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for seed, path in [(0, ()), (2**32 - 1, (2**32 - 1,)), (2**140 - 1, (2**40, 3))]:
+                distributions._pcg64_words(seed, ids, path)
+                distributions._pcg64_words(seed, ids[:1], path)
+
 
 class TestReplicaBlocks:
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_chunk_below_one_rejected(self, chunk):
         with pytest.raises(DomainError, match="chunk"):
             replica_blocks(1, 4, 10, 1, chunk)
+
+    @pytest.mark.parametrize("make", [replica_blocks, window_rounds])
+    @pytest.mark.parametrize(
+        "seed,path,match",
+        [(1.5, (), "seed"), (-1, (), "seed"), ("1", (), "seed"), (1, (2.0,), "path"), (1, (-1,), "path")],
+    )
+    def test_bad_address_rejected_at_the_call(self, make, seed, path, match):
+        with pytest.raises(DomainError, match=match):
+            make(seed, 4, 10, 1, 2, path)
+
+    @pytest.mark.parametrize("make", [replica_blocks, window_rounds])
+    def test_more_than_2_32_replicas_rejected_at_the_call(self, make):
+        # raised before any buffer is allocated or stream built
+        with pytest.raises(DomainError, match="2\\*\\*32"):
+            make(1, 2**32 + 1, 10, 1, 4096)
+        make(1, 2**32, 10, 1, 4096)  # the generator has not started: nothing allocated
 
     def test_every_chunk_fills_one_buffer_in_stream_order(self, monkeypatch):
         # 10 replicas in chunks of 4, 4 and 2; blocks of 2 steps
@@ -90,6 +172,18 @@ class TestReplicaBlocks:
             steps = np.concatenate(steps, axis=1)
             for i, r in enumerate(range(start, stop)):
                 assert steps[i].tobytes() == RngStream(1, r).uniform((5, 3)).tobytes()
+
+
+ENGINES = pytest.mark.parametrize(
+    "engine",
+    [
+        lambda n, replicas, seed: run_full_batch(F32, n, replicas, seed),
+        lambda n, replicas, seed: cube_run_batch(3, n, replicas, seed),
+        lambda n, replicas, seed: run_simplex_batch(2, n, replicas, seed),
+        lambda n, replicas, seed: run_polygon_batch(5, n, replicas, seed),
+    ],
+    ids=["interval", "cube", "simplex", "polygon"],
+)
 
 
 class TestWindowRounds:
@@ -114,20 +208,25 @@ class TestWindowRounds:
             stream = RngStream(seed, r, path).uniform((n, draws))
             assert np.array(seen[r]).tobytes() == stream.tobytes()
 
-    @pytest.mark.parametrize(
-        "engine",
-        [
-            lambda n, replicas: run_full_batch(F32, n, replicas, 1),
-            lambda n, replicas: cube_run_batch(3, n, replicas, 1),
-            lambda n, replicas: run_simplex_batch(2, n, replicas, 1),
-            lambda n, replicas: run_polygon_batch(5, n, replicas, 1),
-        ],
-        ids=["interval", "cube", "simplex", "polygon"],
-    )
+    @ENGINES
     @pytest.mark.parametrize("n,replicas", [(0, 10), (10, 0), (10, -1)])
     def test_engines_reject_bad_sizes(self, engine, n, replicas):
         with pytest.raises(DomainError, match="n and replicas"):
-            engine(n, replicas)
+            engine(n, replicas, 1)
+
+    @ENGINES
+    @pytest.mark.parametrize(
+        "replicas,seed,match", [(10, 2.7, "seed"), (10, -1, "seed"), (2**32 + 1, 1, "2\\*\\*32")]
+    )
+    def test_engines_reject_bad_seeds_and_too_many_replicas(self, engine, replicas, seed, match):
+        # 2**32 + 1 replicas is refused before the engine allocates its state
+        with pytest.raises(DomainError, match=match):
+            engine(10, replicas, seed)
+
+    def test_thinned_engine_rejects_bad_seeds(self):
+        for seed in (2.7, -1):
+            with pytest.raises(DomainError, match="seed"):
+                run_thinned_batch(2, 10, seed)
 
 
 class TestDfForm:

@@ -74,11 +74,20 @@ class TestStartState:
             simplex_new(0)
         with pytest.raises(DomainError):
             run_thinned_batch(0, 3, 1)
+        with pytest.raises(DomainError, match="dimension"):
+            heights_after_changes(0, 3, 4, 1)
 
     @pytest.mark.parametrize("replicas", [0, -1])
     def test_thinned_batch_rejects_bad_replicas(self, replicas):
         with pytest.raises(DomainError, match="replicas"):
             run_thinned_batch(2, replicas, 1)
+        with pytest.raises(DomainError, match="replicas"):
+            heights_after_changes(2, 3, replicas, 1)
+
+    def test_heights_after_changes_rejects_negative_changes(self):
+        with pytest.raises(DomainError, match="n_changes"):
+            heights_after_changes(2, -1, 4, 1)
+        assert heights_after_changes(2, 0, 3, 1) == pytest.approx([1.0] * 3, abs=1e-15)
 
     def test_center_at_origin(self):
         assert np.allclose(simplex_new(3).center, 0.0, atol=1e-15)
