@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``simulate``    one trajectory, full state summary per step, CSV
+* ``simulate``    replica 0 of the seed, full state summary per step, CSV
 * ``experiment``  N replicas, one scaled sample per replica, CSV
 * ``verify``      named theorem suite; prints a line-oriented report
 * ``figure``      reproduces the published heptagon/octagon sample CSVs
@@ -28,9 +28,9 @@ import numpy as np
 from .distributions import DfForm, RngStream
 from .cube import cube_trajectory
 from .errors import ConfigurationError, DiminishError
-from .interval import interval_new, step_full
-from .polygon import polygon_new, polygon_step, snapshot
-from .simplex import simplex_full_step, simplex_new
+from .interval import _walk as interval_walk, interval_new
+from .polygon import _walk as polygon_walk, polygon_new, snapshot
+from .simplex import _walk as simplex_walk, simplex_new
 from .stats import RunConfig, run_experiment
 from . import verification
 
@@ -133,42 +133,70 @@ def emit_csv(records, destination, header) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _trajectory_rows(cfg: RunConfig):
+def _trajectory(cfg: RunConfig):
+    """Header, change steps and per-state fields of the trajectory of replica 0.
+
+    ``fields[0]`` is the start state and ``fields[i]`` the state from step
+    ``steps[i - 1]`` on: each family walks its stream from change to change.
+    """
     rng = RngStream(cfg.seed, 0)
     if cfg.process == "interval":
         header = ["step", "center", "radius"]
-        state = interval_new(DfForm(cfg.c, cfg.delta))
-        rows = [[0, state.center, state.radius]]
-        for t in range(1, cfg.n + 1):
-            state = step_full(state, rng)
-            rows.append([t, state.center, state.radius])
+        start = interval_new(DfForm(cfg.c, cfg.delta))
+        steps, states = interval_walk(start, cfg.n, rng)
+        fields = [(s.center, s.radius) for s in (start, *states)]
     elif cfg.process == "cube":
         header = (
             ["step"]
             + [f"center_{a}" for a in range(cfg.d)]
             + [f"radius_{a}" for a in range(cfg.d)]
         )
-        centers, radii = cube_trajectory(cfg.d, cfg.n, rng)
-        rows = [
-            [t] + [float(c) for c in centers[t]] + [float(r) for r in radii[t]]
-            for t in range(cfg.n + 1)
-        ]
+        values = np.hstack(cube_trajectory(cfg.d, cfg.n, rng))
+        change = np.flatnonzero((values[1:] != values[:-1]).any(axis=1)) + 1
+        steps, fields = change.tolist(), values[np.r_[0, change]].tolist()
     elif cfg.process == "simplex":
         header = ["step", "height"] + [f"center_{a}" for a in range(cfg.d)]
-        state = simplex_new(cfg.d)
-        rows = [[0, state.height] + [float(c) for c in state.center]]
-        for t in range(1, cfg.n + 1):
-            state = simplex_full_step(state, rng)
-            rows.append([t, state.height] + [float(c) for c in state.center])
+        start = simplex_new(cfg.d)
+        steps, states = simplex_walk(start, cfg.n, rng)
+        fields = [(s.height, *s.center.tolist()) for s in (start, *states)]
     else:
         header = ["step", "max_height", "area", "reduced"]
         header += [f"height_{i + 1}" for i in range(cfg.k)]
-        state, rows = polygon_new(cfg.k), []
-        for t in range(cfg.n + 1):
-            state = polygon_step(state, rng) if t else state
-            snap = snapshot(state)
-            rows.append([t, snap.max_height, snap.area, int(snap.reduced), *snap.heights.tolist()])
-    return header, rows
+        start = polygon_new(cfg.k)
+        steps, states = polygon_walk(start, cfg.n, rng)
+        snaps = [snapshot(s) for s in (start, *states)]
+        fields = [(p.max_height, p.area, int(p.reduced), *p.heights.tolist()) for p in snaps]
+    return header, steps, fields
+
+
+_ROWS_PER_WRITE = 65536
+
+
+def _emit_trajectory(cfg: RunConfig, destination) -> int:
+    """Write steps 0..n of the trajectory as CSV, as :func:`emit_csv` would; returns the row count.
+
+    Each state's fields are formatted once and its rows written in joined blocks.
+    """
+    header, steps, fields = _trajectory(cfg)
+    tails = [
+        "".join(f",{v:.17g}" if isinstance(v, float) else f",{v}" for v in f) + "\r\n"
+        for f in fields
+    ]
+    bounds = [0, *steps, cfg.n + 1]
+    count = 0
+    try:
+        with open(destination, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            for tail, first, stop in zip(tails, bounds, bounds[1:]):
+                for lo in range(first, stop, _ROWS_PER_WRITE):
+                    hi = min(lo + _ROWS_PER_WRITE, stop)
+                    fh.write("".join([f"{t}{tail}" for t in range(lo, hi)]))
+                    count = hi
+    except OSError as exc:
+        raise ConfigurationError(
+            f"failed writing {destination} after {count} rows: {exc}"
+        ) from exc
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +229,8 @@ def _config_from_args(args, default_replicas=None) -> RunConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args, default_replicas=1)
-    header, rows = _trajectory_rows(cfg)
     dest = cfg.out or f"{cfg.process}_trajectory.csv"
-    count = emit_csv(rows, dest, header)
+    count = _emit_trajectory(cfg, dest)
     print(f"wrote {count} trajectory rows to {dest}")
     return 0
 

@@ -4,10 +4,17 @@ A uniform point in an axis-aligned box has independent uniform coordinates,
 so each axis of the cube process evolves as a one-dimensional interval
 process.  No native d-dimensional sampler exists here by design; axis ``a``
 of replica stream ``rng`` always draws from ``rng.substream(a)``, which makes
-axis assignment a pure relabeling of sub-streams.  The batch runner is one
-:func:`~diminish.interval.run_full_batch` call per axis on paths ``(a,)``, so
-it inherits the screened window engine and its replay contract:
-batch row ``r`` equals :func:`cube_trajectory` on ``RngStream(seed, r)`` bit for bit.
+axis assignment a pure relabeling of sub-streams.
+
+:func:`cube_trajectory` walks each axis from change to change on its
+sub-stream (a one-row :func:`~diminish.interval.run_full_batch` whose
+candidates go through the scalar step's exact update) and repeats each
+state over the steps it lasts, so every row is the state the per-step
+:func:`~diminish.interval.step_full` loop reaches.  The batch runner is one
+:func:`~diminish.interval.run_full_batch` call per axis on paths ``(a,)``,
+so it inherits the screened window engine and its replay contract: batch
+row ``r`` equals the last row of :func:`cube_trajectory` on
+``RngStream(seed, r)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .distributions import DfForm, RngStream
 from .errors import DomainError
-from .interval import interval_new, run_full_batch, step_full
+from .interval import _walk, interval_new, run_full_batch
 
 __all__ = ["UNIFORM_LAW", "cube_trajectory", "cube_run_batch"]
 
@@ -27,15 +34,14 @@ def cube_trajectory(d: int, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndar
     """Centers and radii of every axis after steps 0..n; shape (n+1, d)."""
     if d < 1 or n < 1:
         raise DomainError("d and n must be >= 1")
-    centers = np.zeros((n + 1, d))
-    radii = np.ones((n + 1, d))
+    centers = np.empty((n + 1, d))
+    radii = np.empty((n + 1, d))
     for a in range(d):
-        axis_rng = rng.substream(a)
-        state = interval_new(UNIFORM_LAW)
-        for t in range(1, n + 1):
-            state = step_full(state, axis_rng)
-            centers[t, a] = state.center
-            radii[t, a] = state.radius
+        start = interval_new(UNIFORM_LAW)
+        steps, states = _walk(start, n, rng.substream(a))
+        lasts = np.diff([0, *steps, n + 1])
+        centers[:, a] = np.repeat([s.center for s in (start, *states)], lasts)
+        radii[:, a] = np.repeat([s.radius for s in (start, *states)], lasts)
     return centers, radii
 
 

@@ -141,6 +141,9 @@ def _pcg64_words(seed: int, ids: np.ndarray, path: tuple[int, ...]) -> np.ndarra
     The words shared by all replicas are Python ints, the ids a ``uint32``
     column, and every step reduces modulo 2**32: on a column, numpy's array
     (not scalar) arithmetic wraps without a warning, as the C hash does.
+    The ids always sit past the pool's words, so the pool starts as Python
+    ints; from there its four words are the rows of one ``(4, N)`` array,
+    and each entropy word mixes into all four in one pass of array steps.
     """
     run = _uint32_words(seed)
     # a non-empty spawn key pads the seed's words to the pool size
@@ -155,6 +158,17 @@ def _pcg64_words(seed: int, ids: np.ndarray, path: tuple[int, ...]) -> np.ndarra
         value = (value * const) & _MASK32
         return value ^ (value >> 16)
 
+    def hashmix_rows(value, lanes, mult=_MULT_A):
+        """``lanes`` successive hash calls on ``value``, one row each."""
+        nonlocal const
+        seq = [const]
+        for _ in range(lanes):
+            seq.append((seq[-1] * mult) & _MASK32)
+        const = seq[-1]
+        seq = np.array(seq, np.uint32)[:, None]
+        value = ((value ^ seq[:-1]) * seq[1:]) & _MASK32
+        return value ^ (value >> 16)
+
     def mix(x, y):
         value = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
         return value ^ (value >> 16)
@@ -164,16 +178,13 @@ def _pcg64_words(seed: int, ids: np.ndarray, path: tuple[int, ...]) -> np.ndarra
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    pool = np.array(pool, np.uint32)[:, None]
     for w in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    const, state = _INIT_B, []
-    for i in range(2 * _POOL):  # generate_state(4, uint64): 8 uint32 words
-        value = pool[i % _POOL] ^ const
-        const = (const * _MULT_B) & _MASK32
-        value = (value * const) & _MASK32
-        state.append(value ^ (value >> 16))
-    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+        pool = mix(pool, hashmix_rows(w, _POOL))
+    # generate_state(4, uint64): 8 uint32 words, cycling through the pool
+    const = _INIT_B
+    state = hashmix_rows(np.concatenate([pool, pool]), 2 * _POOL, _MULT_B)
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
 
 
 class _SeedWords(ISeedSequence):
@@ -242,13 +253,17 @@ def _replica_chunks(seed, replicas, n, draws, chunk, path):
     # One buffer for every chunk.  With glibc, freeing a chunk's buffer raises
     # the mmap threshold to its size, so a fresh buffer for the next chunk came
     # from the heap and stayed resident after the engine returned.
-    rows = min(chunk, replicas)
-    block = max(1, min(n, int(_BLOCK_BYTES / (rows * draws * 8))))
-    buffer = np.empty(rows * block * draws)
+    block, buffer = _block_buffer(min(chunk, replicas), n, draws)
     for start in range(0, replicas, chunk):
         stop = min(start + chunk, replicas)
         streams = _chunk_streams(seed, start, stop, path)
         yield start, stop, _stream_blocks(streams, n, draws, block, buffer)
+
+
+def _block_buffer(rows: int, n: int, draws: int):
+    """Steps per block of ``rows`` streams (at most 48 MB), and one buffer for such a block."""
+    block = max(1, min(n, int(_BLOCK_BYTES / (rows * draws * 8))))
+    return block, np.empty(rows * block * draws)
 
 
 def _stream_blocks(streams: list[RngStream], n: int, draws: int, block: int, buffer: np.ndarray):
@@ -320,6 +335,31 @@ def window_rounds(
     much as its arithmetic.
     """
     return _rounds(replica_blocks(seed, replicas, n, draws, chunk, path))
+
+
+def _change_walk(s, n: int, rng: RngStream, draws: int, hits, step):
+    """The changes of ``n`` steps of a scalar chain from ``s`` on ``rng``: ``(steps, states)``.
+
+    ``states[i]`` is the state from step ``steps[i]`` on.  The stream is a
+    one-row chunk of :func:`window_rounds`, so the walk screens its steps
+    with the engines' window rule and :meth:`Window.advance`:
+    ``hits(s, u)`` marks the window steps that may change ``s`` (``u`` holds
+    their draws, shape ``(1, W, draws)``), and only the first of them goes
+    through ``step(s, u)``, the scalar step on one step's draws, which
+    returns ``s`` itself when it keeps it.  The walk draws exactly
+    ``n * draws`` uniforms from ``rng`` in step order, which leaves the
+    stream where ``n`` scalar steps leave it.
+    """
+    steps, states, t = [], [], 0
+    blocks = _stream_blocks([rng], n, draws, *_block_buffer(1, n, draws))
+    for w in _rounds([(0, 1, blocks)]):
+        rows, at, kept = w.advance(hits(s, w.draws))
+        t += int(kept[0]) + rows.size
+        if rows.size and (new := step(s, w.draws[0, at[0]])) is not s:
+            s = new
+            steps.append(t)
+            states.append(s)
+    return steps, states
 
 
 def _rounds(chunks):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DfForm, RngStream, df_form_ppf, window_rounds
+from .distributions import DfForm, RngStream, _change_walk, df_form_ppf, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -284,3 +284,23 @@ def run_full_batch(
         r[cc] = 0.5 * (b - a)
         lo[cc], hi[cc] = _keep_band(r[cc], law)
     return r, z
+
+
+def _walk(s: IntervalState, n: int, rng: RngStream):
+    """The changes of ``n`` :func:`step_full` steps from ``s`` on ``rng``: ``(steps, states)``.
+
+    A one-row :func:`run_full_batch` (see
+    :func:`~diminish.distributions._change_walk`): a uniform strictly inside
+    the :func:`_keep_band` keeps the interval, and only the others go
+    through :func:`df_form_ppf` and :func:`apply_full_step`, so every state
+    and every check is the scalar step's.
+    """
+
+    def hits(s, u):
+        lo, hi = _keep_band(s.radius, s.law)
+        return (u[..., 0] <= lo) | (u[..., 0] >= hi)
+
+    def step(s, u):
+        return apply_full_step(s, float(df_form_ppf(u[0], s.law)))
+
+    return _change_walk(s, n, rng, 1, hits, step)

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import RngStream, window_rounds
+from .distributions import RngStream, _change_walk, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -348,12 +348,17 @@ def snapshot(s: PolygonState) -> PolygonSnapshot:
     return snap
 
 
-def sample_point(s: PolygonState, rng: RngStream) -> np.ndarray:
-    """Uniform point in the current polygon (three uniforms per call)."""
+def _state_points(s: PolygonState, u: np.ndarray):
+    """Uniform points ``(px, py)`` of the state from draws ``u`` (3, 1, W); see :func:`_fan_points`."""
     g = _state_cycle(s)
     if g.area[0] <= 1e-12:
         raise DomainError("cannot sample from a zero-area region")
-    px, py = _fan_points(g, rng.uniform((3, 1, 1)))
+    return _fan_points(g, u)
+
+
+def sample_point(s: PolygonState, rng: RngStream) -> np.ndarray:
+    """Uniform point in the current polygon (three uniforms per call)."""
+    px, py = _state_points(s, rng.uniform((3, 1, 1)))
     return np.array([px[0, 0], py[0, 0]])
 
 
@@ -377,6 +382,31 @@ def change_region_membership(s: PolygonState, p) -> np.ndarray:
     """Offset-based cap membership: ``<p, q_i> >= o_i + rho_k`` per side."""
     p = np.asarray(p, dtype=float)
     return s.directions @ p >= s.offsets + s.rho
+
+
+def _walk(s: PolygonState, n: int, rng: RngStream):
+    """The changes of ``n`` :func:`polygon_step` steps from ``s`` on ``rng``: ``(steps, states)``.
+
+    A one-row :func:`run_polygon_batch` (see
+    :func:`~diminish.distributions._change_walk`): each round draws its
+    window of points with :func:`_fan_points` and screens them with the
+    engine's strict test for a raised offset; only a point that passes it
+    goes through :func:`apply_polygon_point`.  A point does not depend on
+    the shape of the call that computes it, so every state and every check
+    is the scalar step's.
+    """
+    dirs = np.asarray(s.directions)
+
+    def hits(s, u):
+        px, py = _state_points(s, u.transpose(2, 0, 1))
+        lifts = dirs[:, 0, None] * px + dirs[:, 1, None] * py - s.rho > s.offsets[:, None]
+        return lifts.any(axis=0, keepdims=True)
+
+    def step(s, u):
+        px, py = _state_points(s, u.reshape(3, 1, 1))
+        return apply_polygon_point(s, (px[0, 0], py[0, 0]))
+
+    return _change_walk(s, n, rng, 3, hits, step)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RngStream, replica_blocks, window_rounds
+from .distributions import RngStream, _change_walk, replica_blocks, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -375,6 +375,26 @@ def run_simplex_batch(d: int, n: int, replicas: int, seed: int):
             offsets[cc] = offsets_after_point(offsets[cc], _uniform_weights(w.draws[rows, at]), rho)
             scale[cc] = _screen_scale(offsets[cc], rho)
     return offsets.sum(axis=1), -(d / (d + 1)) * (offsets @ e)
+
+
+def _walk(s: SimplexState, n: int, rng: RngStream):
+    """The changes of ``n`` :func:`simplex_full_step` steps from ``s`` on ``rng``: ``(steps, states)``.
+
+    A one-row :func:`run_simplex_batch` (see
+    :func:`~diminish.distributions._change_walk`): only a step that fails
+    the screen goes through :func:`_uniform_weights` and
+    :func:`offsets_after_point`, so every state and every check is the
+    scalar step's.
+    """
+
+    def hits(s, u):
+        return _screen_hits(u, _screen_scale(s.offsets[None], s.rho))
+
+    def step(s, u):
+        o = offsets_after_point(s.offsets[None], _uniform_weights(u[None]), s.rho)[0]
+        return s if np.array_equal(o, s.offsets) else SimplexState(s.d, o)
+
+    return _change_walk(s, n, rng, s.d + 1, hits, step)
 
 
 def run_thinned_batch(d: int, replicas: int, seed: int):

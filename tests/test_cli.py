@@ -2,11 +2,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from diminish.cli import emit_csv, main, parse_config
 from diminish.errors import ConfigurationError
-from diminish.stats import RunConfig
+from diminish.stats import RunConfig, run_experiment
 from diminish import verification
 from diminish.verification import CheckResult
 
@@ -278,3 +279,49 @@ class TestCommands:
             assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert f"error: config key 'n' must be an integer, got {value!r}" in err
+
+
+class TestSimulateReplaysExperimentRowZero:
+    """``simulate`` writes replica 0 of its seed: its last row is ``experiment`` row 0."""
+
+    def last_row(self, tmp_path, flags, n, seed):
+        out = tmp_path / "traj.csv"
+        argv = ["simulate", *flags, "--n", str(n), "--seed", str(seed), "--out", str(out)]
+        assert main(argv) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == n + 1 and rows[-1]["step"] == str(n)
+        return {key: float(value) for key, value in rows[-1].items()}
+
+    def extras(self, **cfg):
+        return run_experiment(parse_config({"replicas": 3, **cfg})).extras
+
+    @pytest.mark.parametrize("c,delta", [(0.3, 2.0), (0.0, 0.5), (1.0, 3.0)])
+    def test_interval(self, tmp_path, c, delta):
+        flags = ["--process", "interval", "--c", str(c), "--delta", str(delta)]
+        row = self.last_row(tmp_path, flags, 1500, 8)
+        ex = self.extras(process="interval", c=c, delta=delta, n=1500, seed=8)
+        assert row["radius"] == ex["radii"][0] and row["center"] == ex["centers"][0]
+
+    def test_cube(self, tmp_path):
+        row = self.last_row(tmp_path, ["--process", "cube", "--d", "3"], 1500, 8)
+        ex = self.extras(process="cube", d=3, n=1500, seed=8)
+        assert [row[f"center_{a}"] for a in range(3)] == ex["centers"][0].tolist()
+        radii = np.array([row[f"radius_{a}"] for a in range(3)])
+        assert np.array_equal(2.0 * 1500 * (2.0 * radii - 1.0), ex["edge_excess"][0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_simplex(self, tmp_path, d):
+        row = self.last_row(tmp_path, ["--process", "simplex", "--d", str(d)], 1500, 8)
+        ex = self.extras(process="simplex", d=d, n=1500, seed=8)
+        assert row["height"] == ex["heights"][0]
+        centers = [row[f"center_{a}"] for a in range(d)]
+        assert np.allclose(centers, ex["centers"][0], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
+    def test_polygon(self, tmp_path, k):
+        row = self.last_row(tmp_path, ["--process", "polygon", "--k", str(k)], 800, 8)
+        ex = self.extras(process="polygon", k=k, n=800, seed=8)
+        assert [row[f"height_{i + 1}"] for i in range(k)] == ex["final_heights"][0].tolist()
+        assert row["area"] == ex["final_area"][0]
+        assert row["max_height"] == ex["batch"].max_height[0]

@@ -2,7 +2,9 @@
 
 Each engine runs 10 replicas in chunks of 4, 4 and 2, so a change to how
 replicas are chunked, drawn or stepped that moves any output by one ulp, or
-changes a shape, dtype or memory order, shows here.  The hashes were taken
+changes a shape, dtype or memory order, shows here.  The CSV bytes that
+``diminish simulate`` writes are pinned on the same grid, so a change to how
+one trajectory is walked or written shows too.  The hashes were taken
 with numpy 2.4.6; a numpy whose float kernels round differently moves them
 too, which is why a failure names the version it ran on.
 """
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from diminish import interval, polygon, simplex
+from diminish.cli import main
 from diminish.cube import cube_run_batch
 from diminish.distributions import DfForm
 from diminish.interval import run_full_batch
@@ -83,4 +86,47 @@ def test_outputs_match_pinned_hash(monkeypatch, name):
     assert got == PINNED[name], (
         f"{name}: outputs moved from the pinned replay on numpy {np.__version__} "
         f"(pinned with numpy 2.4.6): got {got}"
+    )
+
+
+# one trajectory of n = 300 steps per process, written through the command line
+SIMULATE = {
+    "interval-c0.3-d2": ["--process", "interval", "--c", "0.3", "--delta", "2"],
+    "interval-c0.5-d1": ["--process", "interval", "--c", "0.5", "--delta", "1"],
+    "interval-c0-d0.5": ["--process", "interval", "--c", "0", "--delta", "0.5"],
+    "interval-c0.8-d0.25": ["--process", "interval", "--c", "0.8", "--delta", "0.25"],
+    "interval-c1-d3": ["--process", "interval", "--c", "1", "--delta", "3"],
+    "cube-d3": ["--process", "cube", "--d", "3"],
+    **{f"simplex-d{d}": ["--process", "simplex", "--d", str(d)] for d in (1, 2, 3, 5)},
+    **{f"polygon-k{k}": ["--process", "polygon", "--k", str(k)] for k in range(5, 10)},
+}
+
+SIMULATE_PINNED = {
+    "cube-d3": "4a7b42d616268fd70871884dc8b76ca35c03d2735921b7118887ec162afb8d05",
+    "interval-c0-d0.5": "0dd97f9a4a4f66ddc152e4dce229be201bbfeca92879d5a25909671c32747877",
+    "interval-c0.3-d2": "cffe9ced6c0f48b20bf92ba5d2f177e05c60993571705e5a70d312fe2bd535ad",
+    "interval-c0.5-d1": "895ff1dedcd3d6b8b203bf73ad45a43975bb7cb769c04810ac25ed2f0ed54f7d",
+    "interval-c0.8-d0.25": "ac15691dbc8e20255e4c96849b82c5b8573bbaebb3853c3c355a752318a1d18c",
+    "interval-c1-d3": "89f9de14ae6294efe255f4a5e2abe9706ad5e7f4e58e0e078f181af90a6b66da",
+    "polygon-k5": "c542ff45dbe545061f0b79884202e63dc73304e01af8f9d812c3cc9e47261d41",
+    "polygon-k6": "700233d42f51d829330931feaafa65aada8731c138b03bec291480d1c26610a8",
+    "polygon-k7": "8c89f11eaa2ff3236fb4086dd3e193bbbce98d316ebd633f998c75a06e8b02a4",
+    "polygon-k8": "31cdaffd2fc04bbc1450d2fe661dcded8613fdeede213cc1a6419595dde10cc1",
+    "polygon-k9": "e08d791bddc09c9bcefcd1de0e0a436c20fec289657771aa906288a7dd9f86f5",
+    "simplex-d1": "fa132285a4713dc464596bda82e901930daaa2f11a2d698f64ecf6271cd47803",
+    "simplex-d2": "cc58c6a3d861926e91688fc2318c4e973818142a1478173eaf6d70f5d2a684bd",
+    "simplex-d3": "4a1d08839030927b258224a6b556bbe06a07d23e2594a8e3db2bd9bc0c417451",
+    "simplex-d5": "c11980bbb4674fcc6f7d073db4ad025f6804c94250ba9de222751a186991dd11",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE))
+def test_simulate_csv_matches_pinned_hash(tmp_path, name):
+    out = tmp_path / "traj.csv"
+    argv = ["simulate", *SIMULATE[name], "--n", "300", "--seed", str(SEED), "--out", str(out)]
+    assert main(argv) == 0
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == SIMULATE_PINNED[name], (
+        f"simulate {name}: CSV bytes moved from the pinned trajectory on numpy "
+        f"{np.__version__} (pinned with numpy 2.4.6): got {got}"
     )
