@@ -3,10 +3,16 @@
 The polygon clipper intersects an explicit vertex cycle with a translate by
 Sutherland-Hodgman clipping against the translate's own edges; it never
 touches support offsets or the ``rho_k`` shortcut.  ``shoelace_area`` is the
-reference area of its vertex cycles.  The simplex oracle hands
-the accumulated facet half-spaces (facet planes fitted to translate vertices
-by least squares) to Qhull and reads the intersection vertices back.  Both
-exist to cross-check the process engines.
+reference area of its vertex cycles.  The simplex oracle fits each body's
+facet half-spaces to its vertices by least squares
+(:func:`facet_halfspaces`) and hands a set of half-spaces to Qhull, which
+returns the intersection's vertices and the half-spaces that bound it.  A
+trajectory is followed incrementally, as the process itself runs: step t
+intersects only the half-spaces still bounding ``P_{t-1}`` with the new
+translate's.  That is exact, because a half-space redundant for ``P_{t-1}``
+stays redundant for ``P_t``, a subset of ``P_{t-1}``; so each step is one
+small Qhull call and a trajectory costs time linear in its length.  Both
+oracles exist to cross-check the process engines.
 """
 
 from __future__ import annotations
@@ -14,11 +20,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
-from .simplex import vertex_matrix
-
 __all__ = [
     "clip_convex_by_convex",
     "shoelace_area",
+    "facet_halfspaces",
     "simplex_intersection_oracle",
     "match_point_sets",
 ]
@@ -61,44 +66,42 @@ def shoelace_area(verts: np.ndarray) -> float:
     return 0.5 * float((verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]).sum())
 
 
-def _facet_halfspaces(vertices: np.ndarray) -> np.ndarray:
+def facet_halfspaces(vertices: np.ndarray) -> np.ndarray:
     """Half-spaces ``a x + b <= 0`` of a full-dimensional simplex from its vertices.
 
-    Each facet plane is fitted to its d vertices; orientation points away
-    from the remaining vertex.
+    Each facet plane is fitted to its d vertices (one batched SVD over the
+    ``d + 1`` facets); orientation points away from the remaining vertex.
     """
-    m, d = vertices.shape
-    rows = []
-    for i in range(m):
-        others = np.delete(vertices, i, axis=0)
-        centroid = others.mean(axis=0)
-        u, s, vt = np.linalg.svd(others - centroid)
-        normal = vt[-1]
-        if normal @ (vertices[i] - centroid) > 0:
-            normal = -normal
-        rows.append(np.append(normal, -(normal @ centroid)))
-    return np.array(rows)
+    v = np.asarray(vertices, dtype=float)
+    m = len(v)
+    others = v[np.array([[j for j in range(m) if j != i] for i in range(m)])]  # (m, d, d)
+    centroid = others.mean(axis=1)
+    normal = np.linalg.svd(others - centroid[:, None])[2][:, -1]
+    normal *= np.where(np.vecdot(normal, v - centroid) > 0, -1.0, 1.0)[:, None]
+    return np.column_stack([normal, -np.vecdot(normal, centroid)])
 
 
-def simplex_intersection_oracle(d: int, points, interior_point) -> np.ndarray:
-    """Vertices of ``K_0`` intersected with every translate ``p + K`` (Qhull).
+def simplex_intersection_oracle(halfspaces: np.ndarray, interior_point):
+    """Intersection of half-spaces ``a x + b <= 0`` (Qhull): ``(vertices, bounding)``.
 
     ``interior_point`` is any strictly interior point, used only to seed the
-    half-space intersection.
+    intersection.  ``bounding`` holds the rows of ``halfspaces`` that are
+    not redundant, so intersecting it with further half-spaces gives the
+    same body as intersecting all of ``halfspaces`` with them.
     """
-    e = np.asarray(vertex_matrix(d), dtype=float)
-    halfspaces = [_facet_halfspaces(2.0 / (d + 1) * e)]
-    for p in points:
-        halfspaces.append(_facet_halfspaces(e + np.asarray(p, dtype=float)))
-    hs = np.vstack(halfspaces)
-    inter = HalfspaceIntersection(hs, np.asarray(interior_point, dtype=float))
+    halfspaces = np.asarray(halfspaces, dtype=float)
+    inter = HalfspaceIntersection(halfspaces, np.asarray(interior_point, dtype=float))
     pts = inter.intersections
-    # Qhull reports one point per active facet triple; merge duplicates.
-    out: list[np.ndarray] = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) < 1e-9 for q in out):
-            out.append(p)
-    return np.array(out)
+    # Qhull reports one point per facet of the dual hull; where it splits the
+    # facet of a vertex that more than d half-spaces meet at, the vertex comes
+    # more than once.  Keep its first copy.
+    near = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) < 1e-9
+    vertices = pts[~np.tril(near, -1).any(axis=1)]
+    # The half-spaces on a facet of the dual hull are the bounding ones.
+    # ``inter.dual_vertices`` lists them too, but fails where a facet is not
+    # simplicial.
+    bounding = halfspaces[np.unique(np.concatenate(inter.dual_facets))]
+    return vertices, bounding
 
 
 def match_point_sets(a: np.ndarray, b: np.ndarray) -> float:

@@ -38,8 +38,8 @@ from .distributions import (
     weibull,
 )
 from .errors import ConfigurationError
-from .interval import center_series_batch, interval_new, step_full
-from .oracle import clip_convex_by_convex, match_point_sets, shoelace_area
+from .interval import _walk as interval_walk, center_series_batch, interval_new
+from .oracle import clip_convex_by_convex, facet_halfspaces, match_point_sets, shoelace_area
 from .oracle import simplex_intersection_oracle
 from .polygon import (
     apply_polygon_point,
@@ -47,6 +47,7 @@ from .polygon import (
     chebyshev_center,
     pentagon_constants,
     polygon_new,
+    _walk as polygon_walk,
     reference_vertices,
     sample_point,
     snapshot,
@@ -297,17 +298,18 @@ def check_geometry_oracle(seed=DEFAULT_SEED, steps=100) -> CheckResult:
     for d in (2, 3):
         rng = RngStream(seed + 20, 1, (d,))
         state = simplex_new(d)
-        points = []
+        e = np.asarray(vertex_matrix(d))
+        bounding = facet_halfspaces(2.0 / (d + 1) * e)
         worst = 0.0
-        e0 = np.asarray(vertex_matrix(d))[0]
         for _ in range(steps):
             u = rng.uniform(d + 1)
             w = -np.log1p(-u)
             p = (w @ state.vertices()) / w.sum()
-            points.append(p)
             state = apply_simplex_point(state, p)
-            overts = simplex_intersection_oracle(d, points, state.center)
-            dots = overts @ e0
+            # the oracle's own previous body, cut by the new translate
+            halfspaces = np.vstack([bounding, facet_halfspaces(e + p)])
+            overts, bounding = simplex_intersection_oracle(halfspaces, state.center)
+            dots = overts @ e[0]
             worst = max(worst, match_point_sets(state.vertices(), overts))
             worst = max(worst, abs(float(dots.max() - dots.min()) - state.height))
             worst = max(worst, float(np.linalg.norm(overts.mean(axis=0) - state.center)))
@@ -484,7 +486,14 @@ def check_rate_discrimination(seed=DEFAULT_SEED) -> CheckResult:
 
 
 def _polygon_invariant_trajectories(k, replicas, steps, seed):
-    """Full-snapshot trajectories; returns violation counts per invariant."""
+    """Violation counts per invariant along walked trajectories, counted per step.
+
+    Each trajectory is read from :func:`~diminish.polygon._walk`, so the
+    snapshot and inscribed circle are computed once per distinct state.  A
+    change is checked once, at its step; a state's own invariants count once
+    for every step the state lasts, so the counts are those of checking the
+    state after every step.
+    """
     rho = math.cos(math.pi / k)
     bc = bound_constants(k)
     c1_pent = math.tan(3.0 * math.pi / 10.0)
@@ -500,51 +509,41 @@ def _polygon_invariant_trajectories(k, replicas, steps, seed):
         "area_bound": 0,
     }
     for rep in range(replicas):
-        rng = RngStream(seed, rep, (k,))
-        state = polygon_new(k)
-        snap = snapshot(state)
+        start = polygon_new(k)
+        changes, states = polygon_walk(start, steps, RngStream(seed, rep, (k,)))
+        # the steps of 1..steps that the start state and each changed state last
+        dwells = np.diff([1, *changes, steps + 1]).tolist()
         reduced_seen = False
-        prev_heights = snap.heights
-        prev_area = snap.area
-        for _ in range(steps):
-            p = sample_point(state, rng)
-            new_state = apply_polygon_point(state, p)
-            if np.any(new_state.offsets < state.offsets - 1e-12):
-                v["nested"] += 1
-            state = new_state
+        prev = None
+        for state, w in zip([start, *states], dwells):
             snap = snapshot(state)
-            if np.any(snap.heights > prev_heights + 1e-9):
-                v["height_rise"] += 1
-            if not (AREA_RANGE[0] - 1e-9 <= snap.area <= AREA_RANGE[1] + 1e-9):
-                v["area_range"] += 1
-            if snap.area > prev_area + 1e-12:
-                v["area_rise"] += 1
-            prev_heights, prev_area = snap.heights, snap.area
+            if prev is not None:
+                prev_snap = snapshot(prev)
+                v["nested"] += bool(np.any(state.offsets < prev.offsets - 1e-12))
+                v["height_rise"] += bool(np.any(snap.heights > prev_snap.heights + 1e-9))
+                v["area_rise"] += snap.area > prev_snap.area + 1e-12
+            prev = state
+            if not w:
+                continue
+            v["area_range"] += w * (not AREA_RANGE[0] - 1e-9 <= snap.area <= AREA_RANGE[1] + 1e-9)
             _, radius = chebyshev_center(state)
-            if radius < 0.1 - 1e-9:
-                v["incircle"] += 1
-            if reduced_seen and not snap.reduced:
-                v["reduced_persist"] += 1
+            v["incircle"] += w * (radius < 0.1 - 1e-9)
+            v["reduced_persist"] += w * (reduced_seen and not snap.reduced)
             reduced_seen = reduced_seen or snap.reduced
             above = snap.heights > rho + 1e-9
             below = snap.heights < rho - 1e-9
             positive = snap.region_areas > 1e-12
-            if np.any(above & ~positive) or np.any(below & positive):
-                v["region_iff"] += 1
+            v["region_iff"] += w * bool(np.any(above & ~positive) or np.any(below & positive))
             if k == 5 and snap.reduced:
-                for i in range(5):
-                    if snap.heights[i] > rho + 1e-9:
-                        expect = (snap.heights[i] - rho) ** 2 * c1_pent
-                        if abs(snap.region_areas[i] - expect) > 1e-10:
-                            v["pent_region_formula"] += 1
+                formula = np.abs(snap.region_areas - (snap.heights - rho) ** 2 * c1_pent) > 1e-10
+                v["pent_region_formula"] += w * int((above & formula).sum())
             if k % 2 == 1:
                 excess = snap.max_height - rho
-                if not (
-                    bc.delta1 * excess**2 - 1e-12
+                v["area_bound"] += w * (
+                    not bc.delta1 * excess**2 - 1e-12
                     <= snap.change_area
                     <= k * bc.c1 * excess**2 + 1e-12
-                ):
-                    v["area_bound"] += 1
+                )
     return v
 
 
@@ -559,13 +558,12 @@ def check_invariants(seed=DEFAULT_SEED) -> CheckResult:
         label = f"polygon k={k}: violations in total"
         res.criterion(f"polygon_k{k}_violations", label, sum(v.values()), "==", 0)
 
+    # every check compares a state with the one before it, so only changes count
     bad = 0
     for rep in range(100):
-        rng = RngStream(seed + 51, rep)
-        s = interval_new(DfForm(0.5, 1.0))
-        for _ in range(1000):
-            prev = s
-            s = step_full(s, rng)
+        start = interval_new(DfForm(0.5, 1.0))
+        _, states = interval_walk(start, 1000, RngStream(seed + 51, rep))
+        for prev, s in zip([start, *states], states):
             if (
                 s.radius > prev.radius + 1e-12
                 or s.center - s.radius < prev.center - prev.radius - 1e-12

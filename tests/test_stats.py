@@ -87,13 +87,21 @@ class TestEnvelope:
         assert survival_fraction([1.0, 2.0, 3.0], [1.5]) == pytest.approx([2 / 3])
 
     def test_heptagon_rate_envelope_upper_bound(self):
-        # scaled heptagon excesses stay under the analytic survival envelope
+        # On the c3 scale every excess sits below x = 0.19, where the upper
+        # envelope is above 0.999999, so that criterion cannot fail on its own.
+        # It is paired with one that can: on the c1 scale the excess must stay
+        # within band_bound of the band exp(-x^2 / (pi/100)) .. exp(-x^2 / pi)
+        # that the limit areas in [pi/100, pi] allow.
         from diminish.polygon import bound_constants, run_polygon_batch
 
         bc = bound_constants(7)
-        n = 400
-        res = run_polygon_batch(7, n, 500, seed=58)
-        scaled = math.sqrt(bc.c3 * n) * (res.max_height - math.cos(math.pi / 7))
+        n, replicas = 400, 500
+        # finite-n bias plus 2.5/sqrt(R), which a sample exceeds by chance with
+        # probability about 1e-5; declared before the run
+        band_bound = 0.03 + 2.5 / math.sqrt(replicas)
+        res = run_polygon_batch(7, n, replicas, seed=58)
+        excess = res.max_height - math.cos(math.pi / 7)
+        scaled = math.sqrt(bc.c3 * n) * excess
         rep = envelope_check(
             scaled,
             lower=lambda x: 0.0,
@@ -102,6 +110,20 @@ class TestEnvelope:
             tol=0.03,
         )
         assert rep.passed
+        assert band_distance(math.sqrt(bc.c1 * n) * excess) <= band_bound
+        # negative controls: an excess twice as large, and n^1 scaling in place of n^(1/2)
+        assert band_distance(2.0 * math.sqrt(bc.c1 * n) * excess) > band_bound
+        assert band_distance(n * math.sqrt(bc.c1) * excess) > band_bound
+
+
+def band_distance(x) -> float:
+    """Sup distance of the empirical CDF of ``x`` from the band between
+    ``1 - exp(-x^2 / pi)`` and ``1 - exp(-100 x^2 / pi)`` (zero inside it)."""
+    x = np.sort(np.asarray(x, dtype=float))
+    i = np.arange(1, len(x) + 1)
+    low = -np.expm1(-(x**2) / math.pi)
+    high = -np.expm1(-100.0 * x**2 / math.pi)
+    return max(float((low - (i - 1) / len(x)).max()), float((i / len(x) - high).max()), 0.0)
 
 
 class TestRunConfig:

@@ -2,10 +2,21 @@ import dataclasses
 import inspect
 from types import SimpleNamespace
 
+import math
+
 import numpy as np
 import pytest
 
 from diminish import verification as V
+from diminish.distributions import RngStream
+from diminish.polygon import (
+    apply_polygon_point,
+    bound_constants,
+    chebyshev_center,
+    polygon_new,
+    sample_point,
+    snapshot,
+)
 from diminish.stats import ExperimentResult, RunConfig
 
 
@@ -64,3 +75,66 @@ def test_checks_take_only_their_seed():
     for name, check in V.ALL_CHECKS.items():
         params = list(inspect.signature(check).parameters)
         assert params == (["seed", "steps"] if name == "geometry-oracle" else ["seed"]), name
+
+
+def per_step_invariants(k, replicas, steps, seed):
+    """Reference for ``V._polygon_invariant_trajectories``: every invariant after every step."""
+    rho = math.cos(math.pi / k)
+    bc = bound_constants(k)
+    c1_pent = math.tan(3.0 * math.pi / 10.0)
+    keys = "nested height_rise area_range area_rise incircle reduced_persist region_iff"
+    v = dict.fromkeys(keys.split() + ["pent_region_formula", "area_bound"], 0)
+    for rep in range(replicas):
+        rng = RngStream(seed, rep, (k,))
+        state = polygon_new(k)
+        snap = snapshot(state)
+        reduced_seen = False
+        prev_heights, prev_area = snap.heights, snap.area
+        for _ in range(steps):
+            new_state = apply_polygon_point(state, sample_point(state, rng))
+            if np.any(new_state.offsets < state.offsets - 1e-12):
+                v["nested"] += 1
+            state = new_state
+            snap = snapshot(state)
+            if np.any(snap.heights > prev_heights + 1e-9):
+                v["height_rise"] += 1
+            if not (V.AREA_RANGE[0] - 1e-9 <= snap.area <= V.AREA_RANGE[1] + 1e-9):
+                v["area_range"] += 1
+            if snap.area > prev_area + 1e-12:
+                v["area_rise"] += 1
+            prev_heights, prev_area = snap.heights, snap.area
+            if chebyshev_center(state)[1] < 0.1 - 1e-9:
+                v["incircle"] += 1
+            if reduced_seen and not snap.reduced:
+                v["reduced_persist"] += 1
+            reduced_seen = reduced_seen or snap.reduced
+            above = snap.heights > rho + 1e-9
+            below = snap.heights < rho - 1e-9
+            positive = snap.region_areas > 1e-12
+            if np.any(above & ~positive) or np.any(below & positive):
+                v["region_iff"] += 1
+            if k == 5 and snap.reduced:
+                for i in range(5):
+                    if snap.heights[i] > rho + 1e-9:
+                        expect = (snap.heights[i] - rho) ** 2 * c1_pent
+                        if abs(snap.region_areas[i] - expect) > 1e-10:
+                            v["pent_region_formula"] += 1
+            if k % 2 == 1:
+                excess = snap.max_height - rho
+                if not (
+                    bc.delta1 * excess**2 - 1e-12
+                    <= snap.change_area
+                    <= k * bc.c1 * excess**2 + 1e-12
+                ):
+                    v["area_bound"] += 1
+    return v
+
+
+@pytest.mark.parametrize("k,steps", [(5, 200), (7, 150), (8, 120)])
+def test_walked_invariant_counts_weight_each_state_by_its_steps(monkeypatch, k, steps):
+    # an area range that early states (above 1.1) and late states (below
+    # 0.75) break: every step a breaking state lasts counts once
+    monkeypatch.setattr(V, "AREA_RANGE", (0.75, 1.1))
+    walked = V._polygon_invariant_trajectories(k, 3, steps, 91)
+    assert walked == per_step_invariants(k, 3, steps, 91)
+    assert 3 < walked["area_range"] < 3 * steps
