@@ -13,38 +13,25 @@ from .distributions import (
     LawSpec,
     RngStream,
     df_form_cdf,
-    df_form_sample,
-    dirichlet_pdf,
     law_eval,
-    law_sample,
-    simplex_height_sample,
 )
 from .errors import ConfigurationError, DiminishError, DomainError, StateCorruptionError
 from .interval import (
     IntervalState,
-    ThinnedIntervalState,
-    center_series_sample,
     interval_new,
     step_full,
-    step_thinned,
-    thinned_new,
 )
 from .simplex import (
     SimplexState,
-    SimplexThinned,
     simplex_full_step,
     simplex_new,
-    simplex_thinned_new,
-    simplex_thinned_step,
     to_barycentric,
 )
 from .polygon import (
     BoundConstants,
-    PentagonConstants,
     PolygonSnapshot,
     PolygonState,
     bound_constants,
-    pentagon_constants,
     pentagon_residual,
     polygon_new,
     polygon_step,

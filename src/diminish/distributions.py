@@ -1,10 +1,12 @@
-"""Samplers and analytic evaluators for the limit laws of diminishing processes.
+"""Random streams, the two-branch power family and the analytic limit laws.
 
-Every sampler draws from an explicit :class:`RngStream`; there is no hidden
-global randomness.  Closed-form inverse CDFs are used wherever they exist
-(the two-branch power family, Weibull, exponential, arcsine, simplex height,
-max-of-exponentials); beta and Dirichlet variates are built from gamma
-variates so that shape parameters below one are handled correctly.
+Every draw comes from an explicit :class:`RngStream`; there is no hidden
+global randomness.  :func:`replica_blocks` and :func:`window_rounds` hand the
+batch engines each replica's uniforms in step order.  The general interval
+process draws its points through the inverse CDF of :class:`DfForm`
+(:func:`df_form_ppf`).  The named limit laws (Weibull, exponential,
+max-of-exponentials, beta, arcsine) are evaluated in closed form
+(:func:`law_eval`), which is what the checks test their samples against.
 """
 
 from __future__ import annotations
@@ -27,21 +29,13 @@ __all__ = [
     "LawSpec",
     "df_form_cdf",
     "df_form_ppf",
-    "df_form_sample",
-    "simplex_height_sample",
     "law_eval",
-    "law_sample",
     "cdf_callable",
-    "dirichlet_pdf",
-    "beta_sample",
-    "dirichlet_sample",
     "weibull",
     "beta_law",
     "arcsine",
     "exp1",
     "max_exp",
-    "dirichlet_sym",
-    "simplex_height",
 ]
 
 
@@ -462,22 +456,6 @@ def df_form_ppf(u, f: DfForm):
     )
 
 
-def df_form_sample(rng: RngStream, f: DfForm, size=None):
-    """Inverse-CDF sample(s); ``2 min(X, 1-X)`` then has CDF ``x**delta``."""
-    return df_form_ppf(rng.uniform(size), f)
-
-
-def simplex_height_sample(rng: RngStream, d: int, size=None):
-    """Distance-from-base of a uniform point in a height-1 regular d-simplex.
-
-    Returns ``1 - U**(1/d)``, whose CDF is ``1 - (1 - x)**d`` on [0, 1].
-    """
-    if d < 1:
-        raise DomainError(f"simplex dimension must be >= 1, got {d}")
-    u = rng.uniform(size)
-    return 1.0 - u ** (1.0 / d)
-
-
 # ---------------------------------------------------------------------------
 # Named limit laws.
 # ---------------------------------------------------------------------------
@@ -521,28 +499,8 @@ def max_exp(d: int) -> LawSpec:
     return LawSpec("max_exp", (float(d),))
 
 
-def dirichlet_sym(dim: int, a: float) -> LawSpec:
-    """Symmetric Dirichlet with ``dim`` components of common shape ``a``."""
-    if dim < 2:
-        raise DomainError("dirichlet_sym needs at least two components")
-    if not a > 0:
-        raise DomainError("dirichlet shape must be positive")
-    return LawSpec("dirichlet_sym", (float(dim), float(a)))
-
-
-def simplex_height(d: int) -> LawSpec:
-    """Law of the distance from the base: CDF ``1 - (1-x)**d`` on [0, 1]."""
-    if d < 1:
-        raise DomainError("simplex dimension must be >= 1")
-    return LawSpec("simplex_height", (float(d),))
-
-
 def law_eval(law: LawSpec, x):
-    """Analytic CDF of ``law`` at ``x``.
-
-    A law without a scalar CDF (the symmetric Dirichlet) raises
-    :class:`ConfigurationError`; :func:`dirichlet_pdf` gives its density.
-    """
+    """Analytic CDF of ``law`` at ``x``; an unknown kind raises :class:`ConfigurationError`."""
     arr = np.asarray(x, dtype=float)
     if law.kind == "weibull":
         (delta,) = law.params
@@ -560,97 +518,12 @@ def law_eval(law: LawSpec, x):
     elif law.kind == "arcsine":
         clipped = np.clip(arr, -0.5, 0.5)
         out = (2.0 / math.pi) * np.arcsin(np.sqrt(clipped + 0.5))
-    elif law.kind == "simplex_height":
-        (d,) = law.params
-        clipped = np.clip(arr, 0.0, 1.0)
-        out = 1.0 - (1.0 - clipped) ** d
     else:
-        raise ConfigurationError(f"no scalar CDF for law kind {law.kind!r}")
+        raise ConfigurationError(f"no CDF for law kind {law.kind!r}")
     return float(out) if out.ndim == 0 else out
-
-
-def law_sample(law: LawSpec, rng: RngStream, size=None):
-    """Draw from ``law``; the Dirichlet returns vectors on the simplex."""
-    if law.kind == "weibull":
-        (delta,) = law.params
-        return (-np.log1p(-rng.uniform(size))) ** (1.0 / delta)
-    if law.kind == "exp1":
-        return -np.log1p(-rng.uniform(size))
-    if law.kind == "max_exp":
-        (d,) = law.params
-        return -np.log1p(-rng.uniform(size) ** (1.0 / d))
-    if law.kind == "beta":
-        a, b = law.params
-        return beta_sample(rng, a, b, size)
-    if law.kind == "arcsine":
-        return np.sin(0.5 * math.pi * rng.uniform(size)) ** 2 - 0.5
-    if law.kind == "simplex_height":
-        (d,) = law.params
-        return 1.0 - rng.uniform(size) ** (1.0 / d)
-    if law.kind == "dirichlet_sym":
-        dim, a = int(law.params[0]), law.params[1]
-        return dirichlet_sample(rng, np.full(dim, a), size)
-    raise ConfigurationError(f"unsupported law kind: {law.kind!r}")
 
 
 def cdf_callable(law: LawSpec):
     """The law's CDF as a plain callable, for goodness-of-fit backends."""
     return lambda x: law_eval(law, x)
 
-
-# ---------------------------------------------------------------------------
-# Gamma-based samplers and the Dirichlet density.
-# ---------------------------------------------------------------------------
-
-
-def beta_sample(rng: RngStream, a: float, b: float, size=None):
-    """Beta(a, b) via normalized gamma variates; valid for shapes < 1."""
-    g1 = rng.gamma(a, size)
-    g2 = rng.gamma(b, size)
-    return g1 / (g1 + g2)
-
-
-def dirichlet_sample(rng: RngStream, alpha, size=None):
-    """Dirichlet(alpha) via normalized gamma variates.
-
-    Returns shape ``(len(alpha),)`` or ``(size, len(alpha))``.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
-        raise DomainError("dirichlet shapes must be positive")
-    shape = (len(alpha),) if size is None else (size, len(alpha))
-    g = rng.gamma(np.broadcast_to(alpha, shape))
-    return g / g.sum(axis=-1, keepdims=True)
-
-
-def dirichlet_pdf(alpha, x):
-    """Joint density of Dirichlet(alpha) at points of the probability simplex.
-
-    ``x`` has shape ``(..., len(alpha))``: each point carries all coordinates
-    (summing to one within 1e-12), and its value equals the density of the
-    last ``d`` coordinates in the standard representation.  One point gives a
-    float, a stack of points an array of shape ``x.shape[:-1]``.  A point with
-    a zero coordinate of shape below one is reported as ``inf`` explicitly,
-    else one with a zero coordinate of shape above one as ``0``.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if alpha.ndim != 1 or x.shape[-1:] != alpha.shape:
-        raise DomainError("x must be a point or a stack of points of alpha's length")
-    if np.any(alpha <= 0):
-        raise DomainError("dirichlet shapes must be positive")
-    if np.any(x < -1e-12) or np.any(np.abs(x.sum(axis=-1) - 1.0) > 1e-12):
-        raise DomainError("x must lie on the probability simplex (sum 1, nonnegative)")
-    x = np.clip(x, 0.0, None)
-    zero = x == 0.0
-    # a zero coordinate adds log(1) = 0; its point is set to 0 or inf below
-    log_pdf = (
-        math.lgamma(float(alpha.sum()))
-        - float(np.sum([math.lgamma(a) for a in alpha]))
-        + np.sum((alpha - 1.0) * np.log(np.where(zero, 1.0, x)), axis=-1)
-    )
-    # math.exp, not np.exp: a point's value must not depend on the stack around it
-    pdf = np.vectorize(math.exp, otypes=[float])(log_pdf)
-    pdf = np.where(np.any(zero & (alpha > 1.0), axis=-1), 0.0, pdf)
-    pdf = np.where(np.any(zero & (alpha < 1.0), axis=-1), math.inf, pdf)
-    return float(pdf) if pdf.ndim == 0 else pdf

@@ -1,18 +1,18 @@
-"""One-dimensional diminishing interval process in three equivalent forms.
+"""One-dimensional diminishing interval process and its limiting center.
 
 The full process tracks the interval ``[Z - r, Z + r]`` inside ``[-1, 1]``:
 a point is drawn through a :class:`~diminish.distributions.DfForm` law, the
 interval is intersected with the unit-radius translate around the point, and
-the radius shrinks toward 1/2.  The thinned process keeps only the steps
-that change the interval, which factorizes into a sign ``xi`` and a
-multiplier ``V`` with CDF ``x**delta``.  Iterating the thinned recursion
-gives the truncated series sampler for the limiting center.
+the radius shrinks toward 1/2.  The steps that change the interval factorize
+into a sign ``xi`` and a multiplier ``V`` with CDF ``x**delta``: summing
+them gives the truncated series sampler for the limiting center
+(:func:`center_series_batch`), and prepending one of them gives the
+fixed-point map of its law (:func:`perpetuity_step`).
 
-Draw discipline (replays are exact across scalar and batch runners):
-the full step consumes one uniform per step.  A thinned step, series term or
-perpetuity update takes a ``(2, ...)`` block, signs then multipliers, with
-``xi = +1`` iff the sign uniform is below ``1 - c`` and ``V = U**(1/delta)``;
-the scalar step and sampler are one-slot calls of the batch code.
+Draw discipline: the full step consumes one uniform per step, and batch rows
+replay it exactly.  A series term or perpetuity update takes a ``(2, ...)``
+block, signs then multipliers, with ``xi = +1`` iff the sign uniform is below
+``1 - c`` and ``V = U**(1/delta)``.
 
 The full batch runner does not evaluate every step.  A step keeps the
 interval exactly when its quantile lies in ``[1 - 1/(2r), 1/(2r)]``, which
@@ -34,14 +34,9 @@ from .errors import DomainError, StateCorruptionError
 
 __all__ = [
     "IntervalState",
-    "ThinnedIntervalState",
     "interval_new",
-    "thinned_new",
     "apply_full_step",
     "step_full",
-    "apply_thinned_step",
-    "step_thinned",
-    "center_series_sample",
     "center_series_batch",
     "perpetuity_step",
     "run_full_batch",
@@ -64,23 +59,6 @@ class IntervalState:
             raise DomainError(f"radius must lie in [1/2, 1], got {self.radius}")
         if self.center - self.radius < -1.0 - 1e-9 or self.center + self.radius > 1.0 + 1e-9:
             raise DomainError("interval must be contained in [-1, 1]")
-
-
-@dataclass(frozen=True)
-class ThinnedIntervalState:
-    """Center and excess radius of the thinned (change-only) chain; ``c`` lies in (0, 1)."""
-
-    center: float
-    excess: float
-    c: float
-    delta: float
-
-    def __post_init__(self):
-        _check_thinned_law(self.c, self.delta)
-        if not (0.0 <= self.excess <= 0.5 + _EPS):
-            raise DomainError(f"excess must lie in (0, 1/2], got {self.excess}")
-        if abs(self.center) + self.excess > 0.5 + 1e-9:
-            raise DomainError("|center| + excess must not exceed 1/2")
 
 
 def _check_thinned_law(c: float, delta: float, tol: float | None = None) -> None:
@@ -115,10 +93,6 @@ def interval_new(law: DfForm) -> IntervalState:
     return IntervalState(0.0, 1.0, law)
 
 
-def thinned_new(c: float, delta: float) -> ThinnedIntervalState:
-    return ThinnedIntervalState(0.0, 0.5, c, delta)
-
-
 def apply_full_step(s: IntervalState, x: float) -> IntervalState:
     """Intersect with the unit-radius translate around the point at quantile x.
 
@@ -148,41 +122,16 @@ def step_full(s: IntervalState, rng: RngStream) -> IntervalState:
     return apply_full_step(s, float(df_form_ppf(rng.uniform(), s.law)))
 
 
-def apply_thinned_step(s: ThinnedIntervalState, xi: int, v: float) -> ThinnedIntervalState:
-    """One change step: center moves by ``xi * excess * (1 - v)``, excess scales by v."""
-    if xi not in (-1, 1):
-        raise DomainError("xi must be +1 or -1")
-    if not 0.0 <= v <= 1.0:
-        raise DomainError("v must lie in [0, 1]")
-    return ThinnedIntervalState(*_thinned_move(s.center, s.excess, xi, v), s.c, s.delta)
-
-
-def step_thinned(s: ThinnedIntervalState, rng: RngStream) -> ThinnedIntervalState:
-    """Draw ``xi`` (+1 with probability 1 - c) and ``V`` with CDF ``x**delta``."""
-    xi, v = _thinned_draws(rng.uniform((2, 1)), s.c, s.delta)
-    return apply_thinned_step(s, int(xi[0]), float(v[0]))
-
-
 _MAX_TERMS = 100_000
 
 
-def center_series_sample(rng: RngStream, c: float, delta: float, tol: float) -> float:
-    """Truncated series sample of the limiting center.
-
-    Accumulates ``(1/2) sum xi_i V_1...V_{i-1} (1 - V_i)`` and stops once the
-    deterministic tail bound ``(1/2) V_1...V_n`` drops below ``tol``, so the
-    absolute truncation error is below ``tol``.  A one-slot
-    :func:`center_series_batch`; the thinned chain's center on the same draws.
-    """
-    return float(center_series_batch(rng, c, delta, tol, 1)[0])
-
-
 def center_series_batch(rng: RngStream, c: float, delta: float, tol: float, size: int):
-    """Vectorized series sampler drawing all replicas from one stream.
+    """Truncated series samples of the limiting center, all drawn from one stream.
 
-    Term-major draw order (every slot draws each term, finished slots ignore
-    theirs), so the batch is deterministic but is not a per-replica replay of
-    :func:`center_series_sample` beyond one slot.
+    Each slot accumulates ``(1/2) sum xi_i V_1...V_{i-1} (1 - V_i)`` and stops
+    once the deterministic tail bound ``(1/2) V_1...V_n`` drops below ``tol``,
+    so its absolute truncation error is below ``tol``.  Term-major draw order:
+    every slot draws each term, and finished slots ignore theirs.
     """
     _check_thinned_law(c, delta, tol)
     z = np.zeros(size)

@@ -53,16 +53,13 @@ from .errors import DomainError, StateCorruptionError
 __all__ = [
     "PolygonState",
     "PolygonSnapshot",
-    "PentagonConstants",
     "BoundConstants",
     "polygon_new",
     "snapshot",
     "sample_point",
     "apply_polygon_point",
     "polygon_step",
-    "change_region_membership",
     "pentagon_residual",
-    "pentagon_constants",
     "bound_constants",
     "chebyshev_center",
     "reference_directions",
@@ -75,7 +72,6 @@ _FEAS_EPS = 1e-9
 _EPS = 1e-12  # side-pair vertex feasibility; positive cap and overlap areas
 _CHUNK = 16384  # replicas per chunk of run_polygon_batch
 
-GOLDEN_C = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_LAMBDA = (math.sqrt(5.0) + 1.0) / 2.0
 
 
@@ -378,12 +374,6 @@ def polygon_step(s: PolygonState, rng: RngStream) -> PolygonState:
     return apply_polygon_point(s, sample_point(s, rng))
 
 
-def change_region_membership(s: PolygonState, p) -> np.ndarray:
-    """Offset-based cap membership: ``<p, q_i> >= o_i + rho_k`` per side."""
-    p = np.asarray(p, dtype=float)
-    return s.directions @ p >= s.offsets + s.rho
-
-
 def _walk(s: PolygonState, n: int, rng: RngStream):
     """The changes of ``n`` :func:`polygon_step` steps from ``s`` on ``rng``: ``(steps, states)``.
 
@@ -414,34 +404,6 @@ def _walk(s: PolygonState, n: int, rng: RngStream):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PentagonConstants:
-    """Golden-ratio coupling of pentagon heights.
-
-    A point in cap i lowers height i by x and the two opposite heights by
-    ``c x``; row i of ``update_vectors`` is that pattern (1 at i, c at i+2
-    and i+3, cyclically).
-    """
-
-    c: float
-    lam: float
-    rho5: float
-    update_vectors: np.ndarray
-
-
-@functools.lru_cache(maxsize=1)
-def pentagon_constants() -> PentagonConstants:
-    vec = np.zeros((5, 5))
-    for i in range(5):
-        vec[i, i] = 1.0
-        vec[i, (i + 2) % 5] = GOLDEN_C
-        vec[i, (i + 3) % 5] = GOLDEN_C
-    vec.setflags(write=False)
-    return PentagonConstants(
-        c=GOLDEN_C, lam=GOLDEN_LAMBDA, rho5=math.cos(math.pi / 5.0), update_vectors=vec
-    )
-
-
 def pentagon_residual(m) -> float:
     """``m_2 + lambda m_1 - m_3 - lambda m_4``; zero for every equal-angle pentagon."""
     m = np.asarray(m, dtype=float)
@@ -458,29 +420,13 @@ def pentagon_residual(m) -> float:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Constants of the odd-k rate bounds, with their envelope CDFs."""
+    """Constants of the odd-k rate bounds, with the limit envelope of the excess."""
 
     k: int
     c1: float
     delta1: float
     c2: float
     c3: float
-
-    def h_major_cdf(self, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return np.minimum(self.c1 * x**2, 1.0)
-
-    def h_minor_cdf(self, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return np.where(x < 1.0, self.delta1 * x**2, 1.0)
-
-    def h_tilde_cdf(self, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return np.minimum(self.c1 * self.c2 * x**2, 1.0)
-
-    def h_bar_cdf(self, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return np.minimum(self.c3 * x**2, 1.0)
 
     def rate_envelope_upper(self, x):
         """Limit upper envelope for the survival of ``sqrt(c3 n) (m_n - rho_k)``."""

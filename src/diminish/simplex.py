@@ -16,9 +16,8 @@ point with barycentric weights ``lambda`` over the current vertices,
 the closed form ``beta_i <- beta_i - max(0, m lambda_i - rho)``.
 
 Draw discipline: the full step consumes ``d + 1`` uniforms (exponential
-spacings of the uniform point), the thinned step consumes two (vertex pick,
-then height) through the draw helper and row-wise update that the batch
-engine uses, so batch rows replay scalar chains bit for bit.
+spacings of the uniform point), and batch rows replay it bit for bit.  A
+change of the thinned chain consumes two (vertex pick, then height).
 
 The full batch runner does not evaluate every step.  With ``e = m - rho``
 the excess height, a step with uniforms ``u`` surely keeps the body when
@@ -43,19 +42,14 @@ from .errors import DomainError, StateCorruptionError
 
 __all__ = [
     "SimplexState",
-    "SimplexThinned",
     "vertex_matrix",
     "simplex_new",
     "apply_simplex_point",
     "offsets_after_point",
     "simplex_full_step",
     "change_probability",
-    "simplex_thinned_new",
-    "apply_simplex_thinned",
-    "simplex_thinned_step",
     "simplex_perpetuity_step",
     "to_barycentric",
-    "from_barycentric",
     "run_simplex_batch",
     "run_thinned_batch",
     "heights_after_changes",
@@ -173,31 +167,10 @@ def change_probability(s: SimplexState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Thinned barycentric chain for the limiting center.
+# Thinned barycentric chain for the limiting center.  Its weights express the
+# current center in the vertices of the limit container (the
+# (1/(d+1))-homothet of K); they stay nonnegative and sum to one.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class SimplexThinned:
-    """Barycentric center weights of the shrinking body and its excess height.
-
-    The weights express the current center in the vertices of the limit
-    container (the (1/(d+1))-homothet of K); they stay nonnegative and sum
-    to one.
-    """
-
-    weights: np.ndarray
-    excess: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1:
-            raise DomainError("thinned simplex needs its weights in one vector")
-        _check_weights(w)
-        d = len(w) - 1
-        if not (0.0 <= self.excess <= 1.0 / d + 1e-12):
-            raise DomainError(f"excess must lie in (0, rho], got {self.excess}")
 
 
 def _check_weights(w: np.ndarray) -> None:
@@ -208,12 +181,6 @@ def _check_weights(w: np.ndarray) -> None:
         raise DomainError("barycentric weights must sum to 1")
     if np.any(w < -1e-12):
         raise DomainError("barycentric weights must be nonnegative")
-
-
-def simplex_thinned_new(d: int) -> SimplexThinned:
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    return SimplexThinned(np.full(d + 1, 1.0 / (d + 1)), 1.0 / d)
 
 
 def _vertex_pick(u, d: int):
@@ -227,30 +194,15 @@ def _thinned_draws(u, d: int):
 
 
 def _thinned_update(w: np.ndarray, ell: np.ndarray, xi: np.ndarray, h: np.ndarray):
-    """The update of :func:`apply_simplex_thinned`, one chain per row; ``h = 0`` is a no-op."""
+    """Move weight toward vertex ``xi`` and scale the excess by ``1 - h``, one chain per row.
+
+    The shift is ``(d/(d+1)) excess h``; ``h = 0`` is a no-op.
+    """
     d = w.shape[1] - 1
     shift = (d / (d + 1)) * ell * h
     w = w - shift[:, None]
     w[np.arange(len(w)), xi] += (d + 1) * shift
     return w, ell * (1.0 - h)
-
-
-def apply_simplex_thinned(s: SimplexThinned, xi: int, h: float) -> SimplexThinned:
-    """Shift weight toward vertex ``xi`` by ``(d/(d+1)) * excess * h``; scale excess by ``1-h``."""
-    if not 0 <= xi < len(s.weights):
-        raise DomainError("vertex index out of range")
-    if not 0.0 <= h <= 1.0:
-        raise DomainError("h must lie in [0, 1]")
-    w, ell = _thinned_update(s.weights[None], np.array([s.excess]), np.array([xi]), np.array([h]))
-    if float(w.min()) < -1e-12:
-        raise StateCorruptionError("thinned update drove a barycentric weight negative")
-    return SimplexThinned(w[0], float(ell[0]))
-
-
-def simplex_thinned_step(s: SimplexThinned, rng: RngStream) -> SimplexThinned:
-    """Draw the target vertex uniformly and the height from the base law."""
-    xi, h = _thinned_draws(rng.uniform((2, 1)), len(s.weights) - 1)
-    return apply_simplex_thinned(s, int(xi[0]), float(h[0]))
 
 
 def simplex_perpetuity_step(weights, rng: RngStream):
@@ -283,12 +235,6 @@ def to_barycentric(center, d: int) -> np.ndarray:
     if float(w.min()) < -1e-9:
         raise DomainError("center lies outside the limit container")
     return w
-
-
-def from_barycentric(weights, d: int) -> np.ndarray:
-    """Point of the limit container with the given weights."""
-    weights = np.asarray(weights, dtype=float)
-    return (weights @ vertex_matrix(d)) / (d + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +347,10 @@ def run_thinned_batch(d: int, replicas: int, seed: int):
     """Limiting barycentric weights of independent thinned chains, shape (replicas, d+1).
 
     Each chain runs until its excess height is below ``1e-12`` (further
-    motion of the weights is then below that), within 1024 changes; replica
-    ``r`` replays the scalar stepper on ``RngStream(seed, r)`` bit for bit.
+    motion of the weights is then below that), within 1024 changes.  The
+    chain of replica ``r`` draws two uniforms per change from
+    ``RngStream(seed, r)``, vertex then height, so its row does not depend
+    on the chunking.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")

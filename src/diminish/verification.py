@@ -45,7 +45,6 @@ from .polygon import (
     apply_polygon_point,
     bound_constants,
     chebyshev_center,
-    pentagon_constants,
     polygon_new,
     _walk as polygon_walk,
     reference_vertices,
@@ -341,7 +340,7 @@ def _rate_run(seed, k, n):
 
 def check_pentagon_structure(seed=DEFAULT_SEED) -> CheckResult:
     batch = _pentagon_big(seed).extras["batch"]
-    rho = pentagon_constants().rho5
+    rho = math.cos(math.pi / 5)
     sl = slice(0, STRUCTURE_REPLICAS)
     res = CheckResult("pentagon-structure")
     fallbacks = int(batch.fallback_steps[sl].sum())
@@ -376,8 +375,8 @@ def check_pentagon_structure(seed=DEFAULT_SEED) -> CheckResult:
 
 def check_pentagon_envelope(seed=DEFAULT_SEED) -> CheckResult:
     batch = _pentagon_big(seed).extras["batch"]
-    rho = pentagon_constants().rho5
-    c1 = math.tan(3.0 * math.pi / 10.0)
+    rho = math.cos(math.pi / 5)
+    c1 = bound_constants(5).c1
     scaled = math.sqrt(PENTAGON_N * c1) * (batch.max_height - rho)
     t_min = float(batch.final_area.min())
     t_max = float(batch.final_area.max())
@@ -496,7 +495,6 @@ def _polygon_invariant_trajectories(k, replicas, steps, seed):
     """
     rho = math.cos(math.pi / k)
     bc = bound_constants(k)
-    c1_pent = math.tan(3.0 * math.pi / 10.0)
     v = {
         "nested": 0,
         "height_rise": 0,
@@ -535,7 +533,7 @@ def _polygon_invariant_trajectories(k, replicas, steps, seed):
             positive = snap.region_areas > 1e-12
             v["region_iff"] += w * bool(np.any(above & ~positive) or np.any(below & positive))
             if k == 5 and snap.reduced:
-                formula = np.abs(snap.region_areas - (snap.heights - rho) ** 2 * c1_pent) > 1e-10
+                formula = np.abs(snap.region_areas - (snap.heights - rho) ** 2 * bc.c1) > 1e-10
                 v["pent_region_formula"] += w * int((above & formula).sum())
             if k % 2 == 1:
                 excess = snap.max_height - rho

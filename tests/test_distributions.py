@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from diminish import distributions
 from diminish.distributions import (
@@ -12,21 +13,13 @@ from diminish.distributions import (
     RngStream,
     arcsine,
     beta_law,
-    cdf_callable,
     df_form_cdf,
     df_form_ppf,
-    df_form_sample,
-    dirichlet_pdf,
-    dirichlet_sample,
     exp1,
     law_eval,
-    law_sample,
     max_exp,
-    simplex_height,
-    simplex_height_sample,
     weibull,
     LawSpec,
-    dirichlet_sym,
     replica_blocks,
     window_rounds,
 )
@@ -257,11 +250,6 @@ class TestDfForm:
         assert df_form_ppf(0.3, F32) == pytest.approx(0.5, abs=1e-15)
         assert df_form_ppf(0.825, F32) == pytest.approx(0.75, abs=1e-14)
 
-    def test_forced_sample(self, scripted):
-        assert df_form_sample(scripted([0.15]), F32) == pytest.approx(
-            0.35355339059327373, abs=1e-12
-        )
-
     @settings(max_examples=60, deadline=None)
     @given(
         c=st.floats(0.0, 1.0),
@@ -317,49 +305,36 @@ class TestDfForm:
 
     def test_degenerate_endpoints(self):
         rng = RngStream(1)
-        low = df_form_sample(rng, DfForm(1.0, 2.0), 1000)
-        high = df_form_sample(rng, DfForm(0.0, 2.0), 1000)
+        low = df_form_ppf(rng.uniform(1000), DfForm(1.0, 2.0))
+        high = df_form_ppf(rng.uniform(1000), DfForm(0.0, 2.0))
         assert low.max() <= 0.5 and high.min() >= 0.5
 
     def test_folded_law(self):
         # 2 min(X, 1-X) has CDF x^delta regardless of c
-        x = df_form_sample(RngStream(5, 0), F32, 100_000)
+        x = df_form_ppf(RngStream(5, 0).uniform(100_000), F32)
         y = 2.0 * np.minimum(x, 1.0 - x)
         assert ks_stat(y, lambda t: t**2.0) <= 0.01
 
     def test_conditional_self_similarity(self):
         f = DfForm(0.3, 1.0)
-        x = df_form_sample(RngStream(6, 0), f, 100_000)
+        x = df_form_ppf(RngStream(6, 0).uniform(100_000), f)
         y = 2.0 * np.minimum(x, 1.0 - x)
         for a in (0.25, 0.5, 0.9):
             assert ks_two_sample(y[y <= a], a * y) <= 0.02
 
     def test_conditional_self_similarity_analytic(self):
-        x = df_form_sample(RngStream(7, 0), F32, 100_000)
+        x = df_form_ppf(RngStream(7, 0).uniform(100_000), F32)
         y = 2.0 * np.minimum(x, 1.0 - x)
         for a in (0.25, 0.5, 0.9):
             cond = y[y <= a]
             assert ks_stat(cond, lambda t, a=a: (t / a) ** 2.0) <= 0.02
 
     def test_sign_and_magnitude_independent(self):
-        x = df_form_sample(RngStream(8, 0), F32, 100_000)
+        x = df_form_ppf(RngStream(8, 0).uniform(100_000), F32)
         ind = (x <= 0.5).astype(float)
         mag = np.maximum(x, 1.0 - x)
         corr = np.corrcoef(ind, mag)[0, 1]
         assert abs(corr) <= 0.01
-
-
-class TestSimplexHeight:
-    def test_forced_draws(self, scripted):
-        assert simplex_height_sample(scripted([0.37]), 1) == pytest.approx(0.63, abs=1e-15)
-        h = simplex_height_sample(scripted([0.25]), 2)
-        assert h == pytest.approx(0.5, abs=1e-15)
-        assert 1.0 - (1.0 - h) ** 2 == pytest.approx(0.75, abs=1e-12)
-        assert simplex_height_sample(scripted([0.512]), 3) == pytest.approx(0.2, abs=1e-12)
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(DomainError):
-            simplex_height_sample(RngStream(1), 0)
 
 
 class TestLawEval:
@@ -373,8 +348,8 @@ class TestLawEval:
         assert np.array_equal(law_eval(weibull(0.7), np.array([-1.0, 0.0])), [0.0, 0.0])
 
     def test_cdf_limits(self):
-        for law in (weibull(2.0), exp1(), max_exp(3), beta_law(1.4, 0.6), simplex_height(2)):
-            lo = law_eval(law, -1.0) if law.kind not in ("beta", "simplex_height") else law_eval(law, 0.0)
+        for law in (weibull(2.0), exp1(), max_exp(3), beta_law(1.4, 0.6)):
+            lo = law_eval(law, -1.0) if law.kind != "beta" else law_eval(law, 0.0)
             assert lo == pytest.approx(0.0, abs=1e-12)
             assert law_eval(law, 50.0) == pytest.approx(1.0, abs=1e-9)
         assert law_eval(arcsine(), -0.5) == pytest.approx(0.0, abs=1e-12)
@@ -384,85 +359,34 @@ class TestLawEval:
         with pytest.raises(ConfigurationError):
             law_eval(LawSpec("cauchy"), 0.5)
 
-    def test_dirichlet_has_no_scalar_cdf(self):
-        with pytest.raises(ConfigurationError, match="dirichlet_sym"):
-            cdf_callable(dirichlet_sym(3, 0.5))(np.array([0.2, 0.3, 0.5]))
+    # scipy's CDF of each law kind, from the law's parameters
+    SCIPY_CDF = {
+        "weibull": lambda delta: stats.weibull_min(delta).cdf,
+        "exp1": lambda: stats.expon.cdf,
+        "max_exp": lambda d: lambda x: stats.expon.cdf(x) ** d,
+        "beta": lambda a, b: stats.beta(a, b).cdf,
+        "arcsine": lambda: stats.arcsine(loc=-0.5).cdf,
+    }
 
     @pytest.mark.parametrize(
         "law",
-        [weibull(2.0), weibull(0.7), exp1(), max_exp(3), beta_law(1.4, 0.6), arcsine(), simplex_height(2)],
+        [
+            weibull(2.0),
+            weibull(3.0),
+            weibull(0.7),
+            exp1(),
+            max_exp(3),
+            beta_law(0.5, 0.5),
+            beta_law(1.4, 0.6),
+            beta_law(2 / 3, 4 / 3),
+            beta_law(3 / 4, 9 / 4),
+            arcsine(),
+        ],
         ids=lambda law: law.kind + str(law.params),
     )
-    def test_sampler_matches_cdf(self, law):
-        samples = law_sample(law, RngStream(9, 0, (hash(law.kind) % 97,)), 100_000)
-        assert ks_stat(samples, cdf_callable(law)) <= 0.01
-
-    def test_dirichlet_sampler_marginals(self):
-        lam = law_sample(LawSpec("dirichlet_sym", (3.0, 2.0 / 3.0)), RngStream(10, 0), 100_000)
-        marg = beta_law(2.0 / 3.0, 4.0 / 3.0)
-        for i in range(3):
-            assert ks_stat(lam[:, i], cdf_callable(marg)) <= 0.01
-
-
-class TestDirichletPdf:
-    def test_uniform_triangle(self):
-        assert dirichlet_pdf([1.0, 1.0, 1.0], [1 / 3, 1 / 3, 1 / 3]) == pytest.approx(
-            2.0, abs=1e-12
-        )
-
-    def test_uniform_interval(self):
-        assert dirichlet_pdf([1.0, 1.0], [0.3, 0.7]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_symmetric_two_thirds(self):
-        # independent gamma-function oracle: 3 / Gamma(2/3)^3
-        expected = 3.0 / math.gamma(2.0 / 3.0) ** 3
-        got = dirichlet_pdf([2 / 3, 2 / 3, 2 / 3], [1 / 3, 1 / 3, 1 / 3])
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(1.2082, abs=5e-5)
-
-    def test_off_simplex_rejected(self):
-        with pytest.raises(DomainError):
-            dirichlet_pdf([1.0, 1.0], [0.3, 0.8])
-        with pytest.raises(DomainError):
-            dirichlet_pdf([1.0, 1.0, 1.0], [0.5, 0.6, -0.1])
-
-    def test_zero_coordinate_signals_infinity(self):
-        assert dirichlet_pdf([0.5, 1.0, 1.5], [0.0, 0.4, 0.6]) == math.inf
-        assert dirichlet_pdf([2.0, 1.0, 1.0], [0.0, 0.4, 0.6]) == 0.0
-
-    def test_stack_matches_single_points(self):
-        alpha = [0.5, 2.0, 1.0]
-        points = np.array([[0.0, 0.4, 0.6], [0.4, 0.0, 0.6], [0.4, 0.6, 0.0], [0.2, 0.3, 0.5]])
-        stacked = dirichlet_pdf(alpha, points.reshape(2, 2, 3))
-        assert stacked.shape == (2, 2)
-        singles = [dirichlet_pdf(alpha, p) for p in points]
-        assert all(isinstance(v, float) for v in singles)
-        assert stacked.ravel().tolist() == singles
-        assert singles[:2] == [math.inf, 0.0]
-        with pytest.raises(DomainError):
-            dirichlet_pdf(alpha, [[0.3, 0.3, 0.4], [0.3, 0.3, 0.5]])
-
-    @pytest.mark.parametrize("alpha", [(1.0, 1.0, 1.0), (2.0, 3.0, 4.0), (1.5, 1.0, 2.0)])
-    def test_integrates_to_one(self, alpha):
-        # midpoint rule on an exact triangulation of the simplex
-        nsub = 400
-        h = 1.0 / nsub
-        i, j = np.meshgrid(np.arange(nsub), np.arange(nsub), indexing="ij")
-        up = (i + j <= nsub - 1).ravel()
-        down = (i + j <= nsub - 2).ravel()
-        x_up = ((i + 1 / 3) * h).ravel()[up]
-        y_up = ((j + 1 / 3) * h).ravel()[up]
-        x_dn = ((i + 2 / 3) * h).ravel()[down]
-        y_dn = ((j + 2 / 3) * h).ravel()[down]
-        total = 0.0
-        for xs, ys in ((x_up, y_up), (x_dn, y_dn)):
-            total += dirichlet_pdf(alpha, np.stack([1.0 - xs - ys, xs, ys], axis=-1)).sum()
-        total *= h * h / 2.0
-        assert total == pytest.approx(1.0, abs=1e-3)
-
-    def test_gamma_normalized_sampler_valid_for_small_shapes(self):
-        lam = dirichlet_sample(RngStream(11, 0), [0.75, 0.75, 0.75, 0.75], 50_000)
-        assert np.allclose(lam.sum(axis=1), 1.0, atol=1e-12)
-        assert lam.min() >= 0.0
-        marg = beta_law(0.75, 2.25)
-        assert ks_stat(lam[:, 0], cdf_callable(marg)) <= 0.012
+    def test_cdf_matches_scipy(self, law):
+        # the laws and shapes the checks use, on a grid that also covers
+        # each support's edges and both sides outside it
+        x = np.linspace(-1.0, 6.0, 7001)
+        reference = self.SCIPY_CDF[law.kind](*law.params)
+        assert np.abs(law_eval(law, x) - reference(x)).max() <= 1e-12

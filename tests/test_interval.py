@@ -23,18 +23,13 @@ from diminish.distributions import (
 from diminish.errors import DomainError
 from diminish.interval import (
     IntervalState,
-    ThinnedIntervalState,
     _keep_band,
     apply_full_step,
-    apply_thinned_step,
     center_series_batch,
-    center_series_sample,
     interval_new,
     perpetuity_step,
     run_full_batch,
     step_full,
-    step_thinned,
-    thinned_new,
 )
 from diminish.stats import ks_stat, ks_two_sample
 
@@ -104,87 +99,31 @@ class TestFullStep:
 
 class TestThinnedStep:
     def test_substitution_examples(self):
-        s = thinned_new(0.5, 1.0)
-        out = apply_thinned_step(s, 1, 0.4)
-        assert out.center == pytest.approx(0.3, abs=1e-15)
-        assert out.excess == pytest.approx(0.2, abs=1e-15)
-
-        s2 = ThinnedIntervalState(0.2, 0.1, 0.5, 1.0)
-        out2 = apply_thinned_step(s2, -1, 0.5)
-        assert out2.center == pytest.approx(0.15, abs=1e-15)
-        assert out2.excess == pytest.approx(0.05, abs=1e-15)
-
-    def test_no_move_draw(self):
-        s = thinned_new(0.3, 2.0)
-        out = apply_thinned_step(s, 1, 1.0)
-        assert out.center == s.center and out.excess == s.excess
-
-    def test_degenerate_c_rejected(self):
-        for c in (0.0, 1.0):
-            with pytest.raises(DomainError):
-                thinned_new(c, 1.0)
-
-    def test_excess_is_exact_product(self):
-        rng = RngStream(3, 0)
-        s = thinned_new(0.3, 2.0)
-        prod = 0.5
-        for _ in range(30):
-            u_sign = rng.uniform()
-            u_mult = rng.uniform()
-            v = u_mult ** (1.0 / 2.0)
-            s = apply_thinned_step(s, 1 if u_sign < 0.7 else -1, v)
-            prod = prod * v
-        assert s.excess == prod  # bit-level identity
+        center, excess = interval._thinned_move(0.0, 0.5, 1.0, 0.4)
+        assert center == pytest.approx(0.3, abs=1e-15)
+        assert excess == pytest.approx(0.2, abs=1e-15)
+        center, excess = interval._thinned_move(0.2, 0.1, -1.0, 0.5)
+        assert center == pytest.approx(0.15, abs=1e-15)
+        assert excess == pytest.approx(0.05, abs=1e-15)
 
     def test_sign_probability_convention(self):
-        rng = RngStream(4, 0)
-        s = thinned_new(0.2, 1.0)
-        ups = 0
-        n = 20000
-        for _ in range(n):
-            nxt = step_thinned(s, rng)
-            ups += nxt.center > s.center
-        assert ups / n == pytest.approx(0.8, abs=0.01)
+        xi, _ = interval._thinned_draws(RngStream(4, 0).uniform((2, 20000)), 0.2, 1.0)
+        assert np.mean(xi == 1.0) == pytest.approx(0.8, abs=0.01)
 
 
 class TestCenterSeries:
     def test_telescoping_to_half(self, scripted):
         values = [0.0, 0.7] * 80
-        z = center_series_sample(scripted(values), 0.5, 1.0, 1e-6)
+        z = center_series_batch(scripted(values), 0.5, 1.0, 1e-6, 1)[0]
         assert z == pytest.approx(0.5, abs=1e-6)
 
     def test_two_term_truncation(self, scripted):
-        z = center_series_sample(scripted([0.0, 0.5, 0.9, 0.5]), 0.5, 1.0, 0.2)
+        z = center_series_batch(scripted([0.0, 0.5, 0.9, 0.5]), 0.5, 1.0, 0.2, 1)[0]
         assert z == pytest.approx(0.125, abs=1e-15)
 
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
-            center_series_sample(RngStream(1), 0.5, 1.0, 0.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        c=st.floats(0.01, 0.99),
-        delta=st.floats(0.2, 5.0),
-        tol=st.sampled_from([1e-3, 1e-9, 1e-12]),
-    )
-    def test_sample_is_one_slot_batch(self, seed, c, delta, tol):
-        z = center_series_sample(RngStream(seed, 1), c, delta, tol)
-        assert z == center_series_batch(RngStream(seed, 1), c, delta, tol, 1)[0]
-
-    @pytest.mark.parametrize("c,delta", [(0.5, 1.0), (0.3, 2.0), (0.8, 0.7)])
-    def test_sample_is_thinned_chain_center(self, c, delta):
-        for r in range(20):
-            s = thinned_new(c, delta)
-            rng = RngStream(12, r)
-            while s.excess >= 1e-9:
-                s = step_thinned(s, rng)
-            assert s.center == center_series_sample(RngStream(12, r), c, delta, 1e-9)
-
-    def test_scalar_sampler_matches_beta(self):
-        rng = RngStream(5, 0)
-        z = np.array([center_series_sample(rng, 0.3, 2.0, 1e-9) for _ in range(10_000)])
-        assert ks_stat(z + 0.5, cdf_callable(beta_law(1.4, 0.6))) <= 0.02
+            center_series_batch(RngStream(1), 0.5, 1.0, 0.0, 1)
 
     def test_batch_sampler_matches_beta(self):
         z = center_series_batch(RngStream(6, 0), 0.3, 2.0, 1e-9, 100_000)
