@@ -42,6 +42,16 @@ class TestFullStep:
         assert s.center == pytest.approx(-0.4, abs=1e-15)
         assert s.radius == pytest.approx(0.6, abs=1e-15)
 
+    def test_forced_sample(self, scripted):
+        # the step's point sits at the DfForm(0.3, 2) quantile of its uniform
+        law = DfForm(0.3, 2.0)
+        x = df_form_ppf(0.15, law)
+        assert x == pytest.approx(0.35355339059327373, abs=1e-12)
+        s = step_full(interval_new(law), scripted([0.15]))
+        assert s == apply_full_step(interval_new(law), x)
+        assert s.center - s.radius == pytest.approx(-1.0, abs=1e-15)
+        assert s.center + s.radius == pytest.approx(2 * 0.35355339059327373, abs=1e-12)
+
     def test_no_change_branch(self):
         s = IntervalState(0.0, 0.55, UNIFORM)
         out = apply_full_step(s, 0.5)
@@ -110,6 +120,44 @@ class TestThinnedStep:
         xi, _ = interval._thinned_draws(RngStream(4, 0).uniform((2, 20000)), 0.2, 1.0)
         assert np.mean(xi == 1.0) == pytest.approx(0.8, abs=0.01)
 
+    def test_forced_draws(self):
+        # sign +1 below 1 - c, multiplier U**(1/delta)
+        xi, v = interval._thinned_draws(np.array([[0.69, 0.7], [0.25, 0.81]]), 0.3, 2.0)
+        assert xi.tolist() == [1.0, -1.0]
+        assert v == pytest.approx([0.5, 0.9], abs=1e-15)
+
+    def test_no_move_draw(self):
+        center, excess = interval._thinned_move(0.3, 0.2, 1.0, 1.0)
+        assert center == 0.3 and excess == 0.2
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_degenerate_c_rejected(self, c):
+        with pytest.raises(DomainError, match="c in"):
+            center_series_batch(RngStream(1), c, 1.0, 1e-9, 1)
+
+    def test_excess_is_exact_product(self):
+        xi, v = interval._thinned_draws(RngStream(3, 0).uniform((2, 30)), 0.3, 2.0)
+        center, excess, prod = 0.0, 0.5, 0.5
+        for t in range(30):
+            center, excess = interval._thinned_move(center, excess, xi[t], v[t])
+            prod = prod * v[t]
+        assert excess == prod  # bit-level identity
+
+    @pytest.mark.parametrize("delta", [0.7, 1.0, 2.0])
+    def test_multiplier_law(self, delta):
+        # V = U**(1/delta) has CDF x**delta on [0, 1]
+        _, v = interval._thinned_draws(RngStream(5, 0).uniform((2, 20000)), 0.5, delta)
+        assert ks_stat(v, lambda x: np.clip(x, 0.0, 1.0) ** delta) <= 0.02
+
+
+def thinned_chain_center(draw, c, delta, tol):
+    """Reference chain: one change per ``draw()`` of a (2, 1) block, until the excess is below tol."""
+    center, excess = np.zeros(1), np.full(1, 0.5)
+    while excess[0] >= tol:
+        xi, v = interval._thinned_draws(draw(), c, delta)
+        center, excess = interval._thinned_move(center, excess, xi, v)
+    return center[0]
+
 
 class TestCenterSeries:
     def test_telescoping_to_half(self, scripted):
@@ -124,6 +172,29 @@ class TestCenterSeries:
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
             center_series_batch(RngStream(1), 0.5, 1.0, 0.0, 1)
+
+    @pytest.mark.parametrize("c,delta", [(0.5, 1.0), (0.3, 2.0), (0.8, 0.7)])
+    def test_sample_is_thinned_chain_center(self, c, delta):
+        for r in range(20):
+            z = center_series_batch(RngStream(12, r), c, delta, 1e-9, 1)[0]
+            rng = RngStream(12, r)
+            assert z == thinned_chain_center(lambda: rng.uniform((2, 1)), c, delta, 1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(0.01, 0.99),
+        delta=st.floats(0.2, 5.0),
+        tol=st.sampled_from([1e-3, 1e-9, 1e-12]),
+        size=st.integers(1, 5),
+    )
+    def test_slots_draw_term_major(self, seed, c, delta, tol, size):
+        # slot k runs the reference chain on column k of each (2, size) block
+        blocks = RngStream(seed, 1).uniform((4096, 2, size))
+        z = center_series_batch(RngStream(seed, 1), c, delta, tol, size)
+        for k in range(size):
+            column = iter(blocks[:, :, k])
+            assert z[k] == thinned_chain_center(lambda: next(column)[:, None], c, delta, tol), k
 
     def test_batch_sampler_matches_beta(self):
         z = center_series_batch(RngStream(6, 0), 0.3, 2.0, 1e-9, 100_000)

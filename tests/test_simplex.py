@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from diminish import distributions, simplex
 from diminish.distributions import RngStream
@@ -91,6 +92,20 @@ class TestStartState:
 class TestFullStep:
     def test_change_probability_example(self):
         assert change_probability(simplex_new(2)) == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_change_probability_is_change_frequency(self, d):
+        # from a state 30 steps in, the share of 20000 uniform points that shrink it
+        rng = RngStream(41, d)
+        s = simplex_new(d)
+        for _ in range(30):
+            s = simplex_full_step(s, rng)
+        n = 20_000
+        lam = simplex._uniform_weights(rng.uniform((n, d + 1)))
+        new = offsets_after_point(np.repeat(s.offsets[None], n, axis=0), lam, s.rho)
+        changed = np.mean(np.any(new != s.offsets, axis=1))
+        p = change_probability(s)
+        assert abs(changed - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n) + 1e-12
 
     def test_incenter_leaves_state_unchanged(self):
         s = simplex_new(3)
@@ -221,6 +236,35 @@ class TestThinnedChain:
             w, ell = simplex._thinned_update(w, ell, np.array([xi]), np.array([h]))
         assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_step_consumes_two_uniforms(self):
+        # vertex from the first uniform, height 1 - U**(1/d) from the second
+        xi, h = simplex._thinned_draws(np.array([[0.5], [0.49]]), 2)
+        assert xi.tolist() == [1] and h[0] == pytest.approx(0.3, abs=1e-15)
+        w, ell = simplex._thinned_update(np.full((1, 3), 1 / 3), np.array([0.5]), xi, h)
+        assert ell[0] == pytest.approx(0.5 * 0.49**0.5, abs=1e-15)
+        assert np.allclose(w[0], [1 / 3 - 0.1, 1 / 3 + 0.2, 1 / 3 - 0.1], atol=1e-15)
+
+    def test_forced_heights(self):
+        assert simplex._thinned_draws(np.array([[0.0], [0.37]]), 1)[1][0] == pytest.approx(0.63, abs=1e-15)
+        h = simplex._thinned_draws(np.array([[0.0], [0.25]]), 2)[1][0]
+        assert h == pytest.approx(0.5, abs=1e-15)
+        assert 1.0 - (1.0 - h) ** 2 == pytest.approx(0.75, abs=1e-12)
+        assert simplex._thinned_draws(np.array([[0.0], [0.512]]), 3)[1][0] == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_height_law(self, d):
+        # h = 1 - U**(1/d) has CDF 1 - (1 - x)**d on [0, 1]
+        _, h = simplex._thinned_draws(RngStream(39, d).uniform((2, 20000)), d)
+        assert ks_stat(h, lambda x: 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** d) <= 0.02
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_vertex_pick_is_uniform(self, d):
+        # a midpoint grid of 100 (d + 1) uniforms lands 100 times on each vertex
+        u = (np.arange(100 * (d + 1)) + 0.5) / (100 * (d + 1))
+        assert np.bincount(simplex._vertex_pick(u, d)).tolist() == [100] * (d + 1)
+        edges = np.array([0.0, np.nextafter(1.0 / (d + 1), 0.0), np.nextafter(1.0, 0.0)])
+        assert simplex._vertex_pick(edges, d).tolist() == [0, 0, d]
+
     @pytest.mark.parametrize(
         "weights,match",
         [
@@ -291,6 +335,15 @@ class TestLimitLaws:
             cut = run_thinned_batch(d, 20, seed=37)
             assert np.array_equal(cut, lam), d
             self.assert_rows_replay(cut, d, 37)
+
+    @pytest.mark.parametrize("d", [1, 4, 5])
+    def test_thinned_marginals_match_beta(self, d):
+        # every weight of the limit is Beta(a, d a), a = d/(d+1); the check
+        # covers d = 2, 3 and d = 1 is the arcsine law of the interval
+        lam = run_thinned_batch(d, 10_000, seed=40)
+        a = d / (d + 1)
+        marg = stats.beta(a, d * a).cdf
+        assert max(ks_stat(lam[:, i], marg) for i in range(d + 1)) <= 0.02
 
     def test_perpetuity_fixed_point(self):
         d = 2
