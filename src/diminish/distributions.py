@@ -7,6 +7,10 @@ process draws its points through the inverse CDF of :class:`DfForm`
 (:func:`df_form_ppf`).  The named limit laws (Weibull, exponential,
 max-of-exponentials, beta, arcsine) are evaluated in closed form
 (:func:`law_eval`), which is what the checks test their samples against.
+
+This module needs numpy alone until the first Beta CDF: ``law_eval`` imports
+``scipy.special`` there, so ``import diminish`` loads no SciPy.  (SciPy's
+Qhull loads with ``oracle``, and so with ``verification`` and ``cli``.)
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import special
 
 from .errors import ConfigurationError, DomainError
 
@@ -512,6 +515,8 @@ def law_eval(law: LawSpec, x):
         (d,) = law.params
         out = np.where(arr > 0.0, (-np.expm1(-np.maximum(arr, 0.0))) ** d, 0.0)
     elif law.kind == "beta":
+        from scipy import special  # ≈0.25 s to load: only a Beta CDF pays it
+
         a, b = law.params
         clipped = np.clip(arr, 0.0, 1.0)
         out = special.betainc(a, b, clipped)

@@ -1,13 +1,18 @@
 """Every name a module exports has a caller in the package or in perfbench.
 
-A name counts as used when code outside its own definition refers to it.
-Imports, ``__all__`` entries and docstrings are not references, so the
-package's ``__init__`` re-exports do not count, and neither do tests.  Code
-inside the definition of an unused export does not count either: a name
-whose only callers are themselves unused is reported with them.
+The guarded names are each module's ``__all__`` and the public methods and
+properties of the classes in it (``Class.method``).  A name counts as used
+when code outside its own definition refers to it; a method counts as used
+when some live code reads an attribute of its name, its own class's other
+methods included.  Imports, ``__all__`` entries and docstrings are not
+references, so the package's ``__init__`` re-exports do not count, and
+neither do tests.  Code inside the definition of an unused name does not
+count either: a name whose only callers are themselves unused is reported
+with them.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +32,9 @@ ALLOWED = {
     "(tests/test_distributions.py::TestDfForm)",
     "ks_two_sample": "the two-sample statistic of the fixed-point and self-similarity tests "
     "(tests/test_interval.py, tests/test_simplex.py, tests/test_distributions.py)",
+    "BoundConstants.rate_envelope_upper": "the upper rate envelope of the heptagon, tested "
+    "against samples (tests/test_stats.py::test_heptagon_rate_envelope_upper_bound); "
+    "no verify check reads the upper envelope yet",
 }
 
 
@@ -37,27 +45,52 @@ def _exports(tree):
     return []
 
 
-def _references(tree):
-    """``(name, owner)`` per reference; ``owner`` is the enclosing top-level definition, or None."""
+def _guarded(mod, tree):
+    """``{(mod, name)}`` per export, and ``(mod, "Class.method")`` per public method of an exported class."""
+    exports = _exports(tree)
+    out = {(mod, name) for name in exports}
     for node in tree.body:
-        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        if isinstance(node, ast.ClassDef) and node.name in exports:
+            out |= {
+                (mod, f"{node.name}.{item.name}")
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            }
+    return out
+
+
+def _references(mod, tree):
+    """``(name, owners)`` per reference: the enclosing top-level definition and method, if any."""
+    for node in tree.body:
+        top = ((mod, node.name),) if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ()
+        method = {}
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    method.update(dict.fromkeys(map(id, ast.walk(item)), (mod, f"{node.name}.{item.name}")))
         for sub in ast.walk(node):
+            owners = top + ((method[id(sub)],) if id(sub) in method else ())
             if isinstance(sub, ast.Name):
-                yield sub.id, owner
+                yield sub.id, owners
             elif isinstance(sub, ast.Attribute):
-                yield sub.attr, owner
+                yield sub.attr, owners
 
 
-def unused_exports():
-    """``{(module, name)}`` of exports with no reference from live code."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    exported = {(mod, name) for mod, tree in trees.items() for name in _exports(tree)}
-    refs = [(name, (mod, owner)) for mod, tree in trees.items() for name, owner in _references(tree)]
-    # greatest fixed point: drop every export referenced from outside the unused set
-    unused = set(exported)
+def unused_exports(trees=None):
+    """``{(module, name)}`` of guarded names with no reference from live code.
+
+    ``trees`` maps module names to parsed sources; the default is the package
+    and perfbench.
+    """
+    if trees is None:
+        trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    guarded = set().union(*(_guarded(mod, tree) for mod, tree in trees.items()))
+    refs = [ref for mod, tree in trees.items() for ref in _references(mod, tree)]
+    # greatest fixed point: drop every name referenced from outside the unused set
+    unused = guarded
     while True:
-        live = {name for name, owner in refs if owner not in unused}
-        still = {(mod, name) for mod, name in unused if name not in live}
+        live = {name for name, owners in refs if unused.isdisjoint(owners)}
+        still = {(mod, name) for mod, name in unused if name.rpartition(".")[2] not in live}
         if still == unused:
             return unused
         unused = still
@@ -73,3 +106,34 @@ def test_allowlist_is_current():
     # an allowed name that gained a caller, or was deleted, leaves the list
     unused = {name for _, name in unused_exports()}
     assert sorted(set(ALLOWED) - unused) == []
+
+
+def test_methods_are_guarded():
+    source = """
+        __all__ = ["Box", "use"]
+
+        class Box:
+            def used(self):
+                return self._helper() + self.sibling()
+
+            def sibling(self):
+                return 1
+
+            def lonely(self):
+                return self.lonely()
+
+            @property
+            def size(self):
+                return 0
+
+            def _helper(self):
+                return 0
+
+        def use(box):
+            return box.used()
+
+        RESULT = use(Box())
+    """
+    tree = ast.parse(textwrap.dedent(source))
+    # a sibling method's call counts; a method's call to itself does not
+    assert unused_exports({"m": tree}) == {("m", "Box.lonely"), ("m", "Box.size")}

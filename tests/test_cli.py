@@ -179,6 +179,23 @@ class TestCommands:
         assert rc == 1
         assert "c must lie in [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--check", "bogus"], "invalid choice: 'bogus'"),
+            (["simulate", "--n", "abc"], "invalid int value: 'abc'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_parser_error_exit_code(self, argv, message, capsys):
+        # 2 is reserved for a check that missed its threshold
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: diminish" in capsys.readouterr().out
+
     def test_verify_exit_codes(self, monkeypatch, tmp_path, capsys):
         calls = {}
 
