@@ -221,11 +221,12 @@ def replica_blocks(
     ``(start, stop, blocks)`` per chunk;
     ``blocks`` yields arrays ``u`` of shape ``(stop - start, width, draws)``
     covering the ``n`` steps in order, ``u[i, t]`` being the draws of the
-    next step of replica ``start + i``.  A block is at most 48 MB and one
-    buffer serves every block of every chunk, so a block is only valid
-    until the next one is requested;
-    blocks are filled on demand, so an engine that stops early draws no
-    further.
+    next step of replica ``start + i``.  A block holds a few of the widest
+    windows :func:`window_rounds` gives a row (see :func:`_block_buffer`),
+    and one buffer serves every block of every chunk, so a block is only
+    valid until the next one is requested; blocks are filled on demand, so
+    an engine that stops early draws no further.  A chunk's streams are
+    released once its last block is filled.
 
     A chunk's streams are seeded together: the SeedSequence hash runs once
     over the chunk's replica ids (:func:`_pcg64_words`) and gives each
@@ -253,22 +254,36 @@ def _replica_chunks(seed, replicas, n, draws, chunk, path):
     block, buffer = _block_buffer(min(chunk, replicas), n, draws)
     for start in range(0, replicas, chunk):
         stop = min(start + chunk, replicas)
-        streams = _chunk_streams(seed, start, stop, path)
-        yield start, stop, _stream_blocks(streams, n, draws, block, buffer)
+        # no reference here: _stream_blocks drops the streams after its last fill
+        yield start, stop, _stream_blocks(
+            _chunk_streams(seed, start, stop, path), n, draws, block, buffer
+        )
 
 
 def _block_buffer(rows: int, n: int, draws: int):
-    """Steps per block of ``rows`` streams (at most 48 MB), and one buffer for such a block."""
-    block = max(1, min(n, int(_BLOCK_BYTES / (rows * draws * 8))))
+    """Steps per block of ``rows`` streams, and one buffer for such a block.
+
+    A block holds ``_BLOCK_WINDOWS`` of the widest windows a round of
+    :func:`window_rounds` can give each row (``_WINDOW_ELEMENTS // rows``
+    steps): every block end makes a round wait for the slowest row.  It
+    holds at least ``_BLOCK_FLOOR`` steps, so a wide chunk still fills each
+    stream a few hundred steps at a time, and at most ``n`` steps and
+    ``_BLOCK_BYTES`` bytes.
+    """
+    windows = max(_BLOCK_FLOOR, _BLOCK_WINDOWS * (_WINDOW_ELEMENTS // rows))
+    block = max(1, min(n, windows, int(_BLOCK_BYTES / (rows * draws * 8))))
     return block, np.empty(rows * block * draws)
 
 
 def _stream_blocks(streams: list[RngStream], n: int, draws: int, block: int, buffer: np.ndarray):
+    rows = len(streams)
     for done in range(0, n, block):
         width = min(block, n - done)
-        u = buffer[: len(streams) * width * draws].reshape(len(streams), width, draws)
-        for i, s in enumerate(streams):
-            s.uniform(out=u[i])
+        u = buffer[: rows * width * draws].reshape(rows, width, draws)
+        for i in range(rows):
+            streams[i].uniform(out=u[i])
+        if done + width == n:
+            streams = None  # the last fill: release the generators before the engine runs on
         yield u
 
 
@@ -277,9 +292,14 @@ def _stream_blocks(streams: list[RngStream], n: int, draws: int, block: int, buf
 # step count of the slowest one: a step changes the state with probability of
 # order 1/t, so most windows pass without a change.  A replica's window ends at
 # the end of its uniform block (the buffer is refilled in place), and a round
-# holds at most _WINDOW_ELEMENTS replica-steps.
+# holds at most _WINDOW_ELEMENTS replica-steps.  Uniform blocks are sized by
+# _block_buffer: fewer than four windows per block, or blocks of fewer than a
+# few hundred steps, cost more in rounds waiting at block ends and in fill
+# calls than the smaller buffer saves.
 _WINDOW_GROWTH = 8
 _WINDOW_ELEMENTS = 2**17
+_BLOCK_WINDOWS = 4
+_BLOCK_FLOOR = 256
 
 
 class Window:
@@ -327,9 +347,11 @@ def window_rounds(
     round, or the replicas never move.  A replica then sees every step of
     its trajectory in order, so an engine that applies each first hit exactly
     as its scalar step would replays that step bit for bit, with its state
-    in arrays over all replicas.  The draws are gathered into buffers
-    allocated once per block: fresh arrays of a round's size cost about as
-    much as its arithmetic.
+    in arrays over all replicas.  A block holds about ``_BLOCK_WINDOWS``
+    windows of the widest kind, so every few windows a round waits for the
+    slowest row to reach the block end.  The draws are gathered into
+    buffers allocated once per block: fresh arrays of a round's size cost
+    about as much as its arithmetic.
     """
     return _rounds(replica_blocks(seed, replicas, n, draws, chunk, path))
 

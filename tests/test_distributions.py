@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -162,9 +163,82 @@ class TestReplicaBlocks:
                 first = u if first is None else first
                 assert np.shares_memory(u, first) and u.shape[::2] == (stop - start, 3)
                 steps.append(u.copy())
+            assert [u.shape[1] for u in steps] == [2, 2, 1]
             steps = np.concatenate(steps, axis=1)
             for i, r in enumerate(range(start, stop)):
                 assert steps[i].tobytes() == RngStream(1, r).uniform((5, 3)).tobytes()
+
+
+class TestBlockSizing:
+    @staticmethod
+    def byte_cap_block(rows, n, draws):
+        # the rule before window-sized blocks: as many steps as fit in 48 MB
+        return max(1, min(n, int(48e6 / (rows * draws * 8))))
+
+    @pytest.mark.parametrize("rows", [1, 256, 4096, 8000, 10**4])
+    @pytest.mark.parametrize("draws", [1, 2, 3, 4])
+    def test_blocks_hold_a_few_windows_within_the_byte_cap(self, rows, draws):
+        windows = distributions._BLOCK_WINDOWS * (distributions._WINDOW_ELEMENTS // rows)
+        for n in (1, 7, 200, 8000, 10**6):
+            block, buffer = distributions._block_buffer(rows, n, draws)
+            cap = self.byte_cap_block(rows, n, draws)
+            assert 1 <= block <= cap and buffer.size == rows * block * draws
+            # the byte cap, n or the window rule binds, with its 256-step floor
+            assert block == min(cap, max(windows, 256))
+
+    def test_the_workload_shapes(self):
+        # 256 rows: four 512-step windows; 8000 rows at n = 200: one block, as before
+        assert distributions._block_buffer(256, 8000, 3)[0] == 2048
+        for draws in (1, 2, 3):
+            assert distributions._block_buffer(8000, 200, draws)[0] == 200
+        # 10**4 rows: the byte cap still binds
+        assert distributions._block_buffer(10**4, 2000, 3)[0] == 200
+
+    @pytest.mark.parametrize(
+        "engine",
+        [lambda: run_polygon_batch(7, 8000, 256, 1), lambda: run_simplex_batch(3, 8000, 256, 1)],
+        ids=["polygon-k7", "simplex-d3"],
+    )
+    def test_long_runs_stay_below_40_mb(self, engine):
+        # a 48 MB block alone took 65.6 (polygon) and 58.7 MB (simplex)
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            engine()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+
+    def test_streams_are_released_after_the_last_fill(self):
+        class Tracked(RngStream):
+            __slots__ = ("__weakref__",)
+
+        rows, n, draws = 3, 10, 2
+        streams = [Tracked(5, r) for r in range(rows)]
+        ref = weakref.ref(streams[0])
+        blocks = distributions._stream_blocks(streams, n, draws, 4, np.empty(rows * 4 * draws))
+        del streams
+        widths = []
+        for u in blocks:
+            widths.append(u.shape[1])
+            # the stream lives until its last block is filled
+            assert (ref() is None) == (sum(widths) == n)
+        assert widths == [4, 4, 2]
+
+    def test_change_walk_leaves_the_stream_after_n_steps(self, monkeypatch):
+        # 7-step blocks: the walk's stream is dropped after its last fill, not
+        # the caller's, which stands where 50 steps of one draw leave it
+        monkeypatch.setattr(distributions, "_BLOCK_BYTES", 7 * 8)
+        rng = RngStream(9, 2)
+        steps, states = distributions._change_walk(
+            0, 50, rng, 1, lambda s, u: u[..., 0] < 0.2, lambda s, u: s + 1
+        )
+        ref = RngStream(9, 2).uniform(51)
+        assert steps == list(np.flatnonzero(ref[:50] < 0.2) + 1)
+        assert states == list(range(1, len(steps) + 1))
+        assert rng.uniform() == ref[50]
 
 
 ENGINES = pytest.mark.parametrize(

@@ -330,11 +330,31 @@ class TestLimitLaws:
     def test_thinned_batch_replays_across_chunk_edges(self, monkeypatch, chunk):
         # 20 rows in chunks of 1, 3 and 7 replicas, the last chunk short
         whole = {d: run_thinned_batch(d, 20, seed=37) for d in (1, 2, 3, 5)}
-        monkeypatch.setattr(simplex, "_THINNED_CHUNK", chunk)
+        monkeypatch.setattr(simplex, "_CHUNK", chunk)
         for d, lam in whole.items():
             cut = run_thinned_batch(d, 20, seed=37)
             assert np.array_equal(cut, lam), d
             self.assert_rows_replay(cut, d, 37)
+            # a chain that runs past its block reads on in the next one
+            with monkeypatch.context() as mp:
+                mp.setattr(distributions, "_BLOCK_BYTES", chunk * 5 * 2 * 8)
+                assert np.array_equal(run_thinned_batch(d, 20, seed=37), lam), d
+
+    def test_thinned_batch_draws_only_the_blocks_it_uses(self, monkeypatch):
+        # every chain ends within the first 256-change block of its chunk;
+        # 1024 changes per chain drew four times as much
+        drawn = []
+        uniform = RngStream.uniform
+
+        def spy(self, size=None, out=None):
+            drawn.append(np.size(out) if out is not None else int(np.prod(size)))
+            return uniform(self, size, out)
+
+        monkeypatch.setattr(RngStream, "uniform", spy)
+        for d in (1, 2, 3, 5):
+            drawn.clear()
+            run_thinned_batch(d, 8000, seed=41)
+            assert sum(drawn) <= 8000 * 256 * 2, d
 
     @pytest.mark.parametrize("d", [1, 4, 5])
     def test_thinned_marginals_match_beta(self, d):
