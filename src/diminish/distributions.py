@@ -211,7 +211,14 @@ _BLOCK_BYTES = 48e6
 
 
 def replica_blocks(
-    seed: int, replicas: int, n: int, draws: int, chunk: int, path: tuple[int, ...] = ()
+    seed: int,
+    replicas: int,
+    n: int,
+    draws: int,
+    chunk: int,
+    path: tuple[int, ...] = (),
+    *,
+    block: int | None = None,
 ):
     """Per-replica uniforms of ``n``-step trajectories, in chunks of at most ``chunk`` replicas.
 
@@ -221,12 +228,14 @@ def replica_blocks(
     ``(start, stop, blocks)`` per chunk;
     ``blocks`` yields arrays ``u`` of shape ``(stop - start, width, draws)``
     covering the ``n`` steps in order, ``u[i, t]`` being the draws of the
-    next step of replica ``start + i``.  A block holds a few of the widest
-    windows :func:`window_rounds` gives a row (see :func:`_block_buffer`),
-    and one buffer serves every block of every chunk, so a block is only
-    valid until the next one is requested; blocks are filled on demand, so
-    an engine that stops early draws no further.  A chunk's streams are
-    released once its last block is filled.
+    next step of replica ``start + i``.  A block holds ``block`` steps, by
+    default a few of the widest windows :func:`window_rounds` gives a row
+    (:func:`_block_buffer` sizes and caps it), and one buffer serves every
+    block of every chunk, so a block is only valid until the next one is
+    requested; blocks are filled on demand, so an engine that stops early
+    draws no further.  A chunk's streams are released once its last block
+    is filled, or once its ``blocks`` is closed: a caller that stops early
+    closes it before asking for the next chunk.
 
     A chunk's streams are seeded together: the SeedSequence hash runs once
     over the chunk's replica ids (:func:`_pcg64_words`) and gives each
@@ -240,18 +249,20 @@ def replica_blocks(
         raise DomainError("n and replicas must be >= 1")
     if chunk < 1:
         raise DomainError(f"chunk must be >= 1, got {chunk}")
+    if block is not None and block < 1:
+        raise DomainError(f"block must be >= 1, got {block}")
     if replicas > _MAX_REPLICAS:
         raise DomainError(f"replicas must be <= 2**32, got {replicas}")
     seed = _address(seed, "seed")
     path = tuple(_address(p, "path entry") for p in path)
-    return _replica_chunks(seed, replicas, n, draws, chunk, path)
+    return _replica_chunks(seed, replicas, n, draws, chunk, path, block)
 
 
-def _replica_chunks(seed, replicas, n, draws, chunk, path):
+def _replica_chunks(seed, replicas, n, draws, chunk, path, block):
     # One buffer for every chunk.  With glibc, freeing a chunk's buffer raises
     # the mmap threshold to its size, so a fresh buffer for the next chunk came
     # from the heap and stayed resident after the engine returned.
-    block, buffer = _block_buffer(min(chunk, replicas), n, draws)
+    block, buffer = _block_buffer(min(chunk, replicas), n, draws, block)
     for start in range(0, replicas, chunk):
         stop = min(start + chunk, replicas)
         # no reference here: _stream_blocks drops the streams after its last fill
@@ -260,18 +271,20 @@ def _replica_chunks(seed, replicas, n, draws, chunk, path):
         )
 
 
-def _block_buffer(rows: int, n: int, draws: int):
+def _block_buffer(rows: int, n: int, draws: int, steps: int | None = None):
     """Steps per block of ``rows`` streams, and one buffer for such a block.
 
-    A block holds ``_BLOCK_WINDOWS`` of the widest windows a round of
-    :func:`window_rounds` can give each row (``_WINDOW_ELEMENTS // rows``
-    steps): every block end makes a round wait for the slowest row.  It
-    holds at least ``_BLOCK_FLOOR`` steps, so a wide chunk still fills each
-    stream a few hundred steps at a time, and at most ``n`` steps and
+    By default a block holds ``_BLOCK_WINDOWS`` of the widest windows a
+    round of :func:`window_rounds` can give each row (``_WINDOW_ELEMENTS //
+    rows`` steps): every block end makes a round wait for the slowest row.
+    It holds at least ``_BLOCK_FLOOR`` steps, so a wide chunk still fills
+    each stream a few hundred steps at a time.  A block holds at most
+    ``steps`` steps when they are given, and never more than ``n`` steps or
     ``_BLOCK_BYTES`` bytes.
     """
-    windows = max(_BLOCK_FLOOR, _BLOCK_WINDOWS * (_WINDOW_ELEMENTS // rows))
-    block = max(1, min(n, windows, int(_BLOCK_BYTES / (rows * draws * 8))))
+    if steps is None:
+        steps = max(_BLOCK_FLOOR, _BLOCK_WINDOWS * (_WINDOW_ELEMENTS // rows))
+    block = max(1, min(n, steps, int(_BLOCK_BYTES / (rows * draws * 8))))
     return block, np.empty(rows * block * draws)
 
 

@@ -245,10 +245,11 @@ def to_barycentric(center, d: int) -> np.ndarray:
 _CHUNK = 4096  # replicas per chunk of run_simplex_batch and run_thinned_batch
 _SCREEN_ETA = 1e-12
 # A thinned chain stops once its excess is below _THINNED_TOL, within
-# _THINNED_TERMS changes; the terms are drawn in blocks on demand, and at
-# d <= 5 every chain of a 10**4-row run ends inside the first one.
+# _THINNED_TERMS changes; the terms are drawn in blocks of _THINNED_BLOCK on
+# demand, and at d <= 5 every chain of a 10**4-row run ends inside the first.
 _THINNED_TOL = 1e-12
 _THINNED_TERMS = 1024
+_THINNED_BLOCK = 256
 
 
 def _screen_scale(offsets: np.ndarray, rho: float) -> np.ndarray:
@@ -354,13 +355,12 @@ def run_thinned_batch(d: int, replicas: int, seed: int):
     ``RngStream(seed, r)``, vertex then height, so its row does not depend
     on the chunking.  The chains run in chunks of ``_CHUNK`` replicas, and
     a chunk draws its changes in :func:`~diminish.distributions.replica_blocks`
-    blocks, the next one only while some chain of the chunk still runs: a
-    chain needs about ``d log(1e12 / d)`` changes (130 at d = 5), and a
-    block holds at least 256.
+    blocks of 256, the next one only while some chain of the chunk still
+    runs: a chain needs about ``d log(1e12 / d)`` changes (130 at d = 5).
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    chunks = replica_blocks(seed, replicas, _THINNED_TERMS, 2, _CHUNK)
+    chunks = replica_blocks(seed, replicas, _THINNED_TERMS, 2, _CHUNK, block=_THINNED_BLOCK)
     out = np.empty((replicas, d + 1))
     for start, stop, blocks in chunks:
         w = np.full((stop - start, d + 1), 1.0 / (d + 1))
@@ -371,6 +371,7 @@ def run_thinned_batch(d: int, replicas: int, seed: int):
                 break
             xi, h = _thinned_draws(ut.T, d)
             w, ell = _thinned_update(w, ell, xi, np.where(active, h, 0.0))
+        blocks.close()  # release the chunk's streams before the next chunk seeds its own
         if (ell >= _THINNED_TOL).any():
             raise StateCorruptionError("thinned chain failed to converge within 1024 changes")
         out[start:stop] = w

@@ -137,6 +137,11 @@ class TestReplicaBlocks:
         with pytest.raises(DomainError, match="chunk"):
             replica_blocks(1, 4, 10, 1, chunk)
 
+    @pytest.mark.parametrize("block", [0, -1])
+    def test_block_below_one_rejected(self, block):
+        with pytest.raises(DomainError, match="block"):
+            replica_blocks(1, 4, 10, 1, 2, block=block)
+
     @pytest.mark.parametrize("make", [replica_blocks, window_rounds])
     @pytest.mark.parametrize(
         "seed,path,match",
@@ -177,22 +182,27 @@ class TestBlockSizing:
 
     @pytest.mark.parametrize("rows", [1, 256, 4096, 8000, 10**4])
     @pytest.mark.parametrize("draws", [1, 2, 3, 4])
-    def test_blocks_hold_a_few_windows_within_the_byte_cap(self, rows, draws):
-        windows = distributions._BLOCK_WINDOWS * (distributions._WINDOW_ELEMENTS // rows)
+    def test_no_block_is_wider_than_under_the_byte_cap(self, rows, draws):
         for n in (1, 7, 200, 8000, 10**6):
             block, buffer = distributions._block_buffer(rows, n, draws)
-            cap = self.byte_cap_block(rows, n, draws)
-            assert 1 <= block <= cap and buffer.size == rows * block * draws
-            # the byte cap, n or the window rule binds, with its 256-step floor
-            assert block == min(cap, max(windows, 256))
+            assert 1 <= block <= self.byte_cap_block(rows, n, draws)
+            assert buffer.size == rows * block * draws
 
     def test_the_workload_shapes(self):
         # 256 rows: four 512-step windows; 8000 rows at n = 200: one block, as before
         assert distributions._block_buffer(256, 8000, 3)[0] == 2048
         for draws in (1, 2, 3):
             assert distributions._block_buffer(8000, 200, draws)[0] == 200
-        # 10**4 rows: the byte cap still binds
-        assert distributions._block_buffer(10**4, 2000, 3)[0] == 200
+        # verify's 10**4-step runs: interval and cube on 8192-row chunks and
+        # simplex d = 2, 3 on 4096 rows take the floor (732, 488 and 366 steps
+        # under the byte cap alone); polygon on 10**4 rows keeps its byte cap
+        for rows, draws, block in [(8192, 1, 256), (4096, 3, 256), (4096, 4, 256), (10**4, 3, 200)]:
+            assert distributions._block_buffer(rows, 10**4, draws)[0] == block
+        # 1000 rows: four 131-step windows, not the 2000-step byte cap
+        assert distributions._block_buffer(1000, 10**4, 3)[0] == 524
+        # a width the caller asks for, as the thinned chain does
+        assert distributions._block_buffer(4096, 1024, 2, 256)[0] == 256
+        assert distributions._block_buffer(4096, 100, 2, 256)[0] == 100
 
     @pytest.mark.parametrize(
         "engine",
@@ -211,21 +221,66 @@ class TestBlockSizing:
             tracemalloc.stop()
         assert peak <= 40e6
 
-    def test_streams_are_released_after_the_last_fill(self):
+    @staticmethod
+    def track_streams(monkeypatch):
+        """Weak references to every chunk's streams, one list per chunk, as they are seeded."""
+
         class Tracked(RngStream):
             __slots__ = ("__weakref__",)
 
-        rows, n, draws = 3, 10, 2
-        streams = [Tracked(5, r) for r in range(rows)]
-        ref = weakref.ref(streams[0])
-        blocks = distributions._stream_blocks(streams, n, draws, 4, np.empty(rows * 4 * draws))
-        del streams
-        widths = []
-        for u in blocks:
-            widths.append(u.shape[1])
-            # the stream lives until its last block is filled
-            assert (ref() is None) == (sum(widths) == n)
-        assert widths == [4, 4, 2]
+        chunks = []
+        seed_chunk = distributions._chunk_streams
+
+        def tracked(seed, start, stop, path):
+            streams = []
+            for s in seed_chunk(seed, start, stop, path):
+                t = Tracked.__new__(Tracked)
+                t.seed, t.stream_id, t.path, t._gen = s.seed, s.stream_id, s.path, s._gen
+                streams.append(t)
+            chunks.append([weakref.ref(t) for t in streams])
+            return streams
+
+        monkeypatch.setattr(distributions, "_chunk_streams", tracked)
+        return chunks
+
+    def test_streams_are_released_after_the_last_fill(self, monkeypatch):
+        # 5 replicas in chunks of 3 and 2; blocks of 4 steps over n = 10
+        monkeypatch.setattr(distributions, "_BLOCK_BYTES", 3 * 4 * 2 * 8)
+        chunks = self.track_streams(monkeypatch)
+        for start, stop, blocks in replica_blocks(5, 5, 10, 2, 3):
+            widths = []
+            for u in blocks:
+                widths.append(u.shape[1])
+                # a chunk's streams live until its last block is filled
+                alive = [ref() is not None for ref in chunks[-1]]
+                assert alive == [sum(widths) < 10] * (stop - start)
+            assert widths == [4, 4, 2]
+        assert len(chunks) == 2
+
+    def test_streams_are_released_when_the_blocks_are_closed(self, monkeypatch):
+        chunks = self.track_streams(monkeypatch)
+        ((_, _, blocks),) = replica_blocks(5, 3, 10**4, 2, 3, block=100)
+        next(blocks)
+        assert all(ref() is not None for ref in chunks[0])
+        blocks.close()
+        assert all(ref() is None for ref in chunks[0])
+
+    def test_thinned_chunks_release_their_streams_before_the_next(self, monkeypatch):
+        # the chains stop inside their first block; each chunk closes its blocks
+        from diminish import simplex
+
+        monkeypatch.setattr(simplex, "_CHUNK", 7)
+        chunks = self.track_streams(monkeypatch)
+        seed_chunk = distributions._chunk_streams
+        alive_at_seed = []
+
+        def seeding(*args):
+            alive_at_seed.append(sum(ref() is not None for refs in chunks for ref in refs))
+            return seed_chunk(*args)
+
+        monkeypatch.setattr(distributions, "_chunk_streams", seeding)
+        run_thinned_batch(3, 20, seed=41)
+        assert len(chunks) == 3 and alive_at_seed == [0, 0, 0]
 
     def test_change_walk_leaves_the_stream_after_n_steps(self, monkeypatch):
         # 7-step blocks: the walk's stream is dropped after its last fill, not

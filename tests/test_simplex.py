@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -341,8 +343,9 @@ class TestLimitLaws:
                 assert np.array_equal(run_thinned_batch(d, 20, seed=37), lam), d
 
     def test_thinned_batch_draws_only_the_blocks_it_uses(self, monkeypatch):
-        # every chain ends within the first 256-change block of its chunk;
-        # 1024 changes per chain drew four times as much
+        # every chain ends within the first 256-change block of its chunk, on
+        # 4096-row chunks and on one 256-row chunk; 1024 changes per chain
+        # drew four times as much
         drawn = []
         uniform = RngStream.uniform
 
@@ -351,10 +354,10 @@ class TestLimitLaws:
             return uniform(self, size, out)
 
         monkeypatch.setattr(RngStream, "uniform", spy)
-        for d in (1, 2, 3, 5):
+        for d, replicas in itertools.product((1, 2, 3, 5), (256, 8000)):
             drawn.clear()
-            run_thinned_batch(d, 8000, seed=41)
-            assert sum(drawn) <= 8000 * 256 * 2, d
+            run_thinned_batch(d, replicas, seed=41)
+            assert sum(drawn) <= replicas * 256 * 2, (d, replicas)
 
     @pytest.mark.parametrize("d", [1, 4, 5])
     def test_thinned_marginals_match_beta(self, d):
