@@ -92,8 +92,9 @@ def parse_config(source, overrides: dict | None = None) -> RunConfig:
     process = data.get("process")
     if process is None:
         raise ConfigurationError("missing required key: 'process'")
-    if process in ALIASES:
-        data.setdefault("k", ALIASES[process])
+    alias = ALIASES.get(process)
+    if alias is not None:
+        data.setdefault("k", alias)
         data["process"] = "polygon"
     for key in ("n", "replicas"):
         if key not in data:
@@ -103,6 +104,8 @@ def parse_config(source, overrides: dict | None = None) -> RunConfig:
         key: _coerce(_KINDS[key], value, f"config key {key!r}") if key in _KINDS else value
         for key, value in data.items()
     }
+    if alias is not None and kwargs["k"] != alias:
+        raise ConfigurationError(f"process {process!r} has k = {alias}, got k = {kwargs['k']}")
     return RunConfig(**kwargs).validate()
 
 
@@ -278,14 +281,13 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-_FIGURES = {
-    "fig7": {"process": "polygon", "k": 7, "n": 100, "replicas": 200},
-    "fig8": {"process": "polygon", "k": 8, "n": 100, "replicas": 200},
-}
+_FIGURES = {"fig7": 7, "fig8": 8}  # the polygon k of each published figure
 
 
 def _cmd_figure(args) -> int:
-    result = run_experiment(parse_config(_FIGURES[args.which], {"seed": args.seed}))
+    fig = {"process": "polygon", "k": _FIGURES[args.which]}
+    sizes = {"n": verification.FIGURE_N, "replicas": verification.FIGURE_REPLICAS, "seed": args.seed}
+    result = run_experiment(parse_config(fig, sizes))
     dest = args.out or f"{args.which}.csv"
     count = emit_csv(
         ([s.replica, s.value] for s in result.samples), dest, ["replica", "value"]

@@ -249,6 +249,8 @@ def replica_blocks(
         raise DomainError("n and replicas must be >= 1")
     if chunk < 1:
         raise DomainError(f"chunk must be >= 1, got {chunk}")
+    if draws < 1:
+        raise DomainError(f"draws must be >= 1, got {draws}")
     if block is not None and block < 1:
         raise DomainError(f"block must be >= 1, got {block}")
     if replicas > _MAX_REPLICAS:

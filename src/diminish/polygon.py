@@ -23,9 +23,11 @@ columns (the batch engine's replicas; a scalar state is one column): the
 candidate cycle of consecutive side-line intersections, its supports, heights
 and fan areas.  A column whose cycle fails feasibility (a redundant side,
 possible for k >= 6) is rebuilt from its true supports, read off the feasible
-side-pair vertices; the cycle then repeats a vertex at each redundant side.
-The stored offsets stay raw.  One area-weighted fan sampler draws the points,
-three uniforms per step, so scalar and batch trajectories agree bit for bit.
+side-pair vertices; the cycle then repeats a vertex at each redundant side,
+and its (C,) bool mask ``tightened`` marks the rebuilt columns.  The stored
+offsets stay raw.  One area-weighted fan sampler draws the points, three
+uniforms per step; :func:`_lifts` tests which points raise an offset and
+:func:`_raise` raises them, so scalar and batch trajectories agree bit for bit.
 Cap areas and reducedness are closed forms on the cycle; nothing here clips.
 
 A state stays fixed between two changes, and late in a run almost every step
@@ -135,8 +137,6 @@ class PolygonState:
         if o.shape != (self.k,):
             raise DomainError("offsets must have k entries")
         object.__setattr__(self, "offsets", o)
-        object.__setattr__(self, "_cycle", None)
-        object.__setattr__(self, "_snap", None)
 
     @property
     def rho(self) -> float:
@@ -146,6 +146,33 @@ class PolygonState:
     def directions(self) -> np.ndarray:
         return reference_directions(self.k)
 
+    @functools.cached_property
+    def _cycle(self) -> _Cycle:  # the state's geometry as a one-column block
+        return _cycles(self.offsets[:, None])
+
+    @functools.cached_property
+    def _snapshot(self) -> PolygonSnapshot:
+        g = self._cycle
+        area = float(g.area[0])
+        if area <= 0.0:
+            raise StateCorruptionError("offset polygon degenerated to zero area")
+        boundary = np.column_stack([g.x[:, 0], g.y[:, 0]])
+        heights = g.heights[:, 0]
+        dots = boundary @ self.directions.T
+        levels = dots.min(axis=0) + self.rho
+        region_areas, reduced = _cap_geometry(boundary, dots - levels, levels)
+        return PolygonSnapshot(
+            k=self.k,
+            boundary=boundary,
+            heights=heights,
+            max_height=float(heights.max()),
+            area=area,
+            region_areas=region_areas,
+            change_area=float(region_areas.sum()),
+            reduced=reduced,
+            degenerate=bool(g.tightened[0]),
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class PolygonSnapshot:
@@ -153,18 +180,15 @@ class PolygonSnapshot:
 
     ``boundary`` is the CCW candidate cycle, always k entries: entry i is
     where side lines i and i+1 meet, so a degenerate state (a redundant side)
-    repeats the vertex its redundant side lines pass through.  ``vertices``
-    are the labeled extreme points ``A_i`` in direction ``q_i`` (meaningful
-    for odd k).  ``region_areas[i]`` is the area of the cap above
-    ``o_i' + rho`` and ``reduced`` reports pairwise disjointness of the
-    positive caps, decided geometrically.  ``degenerate`` flags states whose
-    raw candidate cycle was infeasible and had to be rebuilt from the true
-    supports.
+    repeats the vertex its redundant side lines pass through.
+    ``region_areas[i]`` is the area of the cap above ``o_i' + rho`` and
+    ``reduced`` reports pairwise disjointness of the positive caps, decided
+    geometrically.  ``degenerate`` flags states whose raw candidate cycle was
+    infeasible and had to be rebuilt from the true supports.
     """
 
     k: int
     boundary: np.ndarray
-    vertices: np.ndarray
     heights: np.ndarray
     max_height: float
     area: float
@@ -190,11 +214,11 @@ class _Cycle(NamedTuple):
     heights: np.ndarray  # (k, C) widths along the q_j
     cum: np.ndarray  # (k - 2, C) cumulative fan-triangle areas from candidate 0
     area: np.ndarray  # (C,)
-    tightened: np.ndarray | None  # (C,) columns rebuilt from their true supports
+    tightened: np.ndarray  # (C,) bool: columns rebuilt from their true supports
 
 
 def _cycle_kernel(o: np.ndarray) -> _Cycle:
-    """Candidate cycles of offset columns ``o`` (k, C), valid where ``slack >= -eps``."""
+    """Candidate cycles of columns ``o`` (k, C), valid where ``slack >= -eps``; none tightened."""
     k, c = o.shape
     dirs, inv, nxt = _fan(k)
     o_next = o[nxt]
@@ -212,7 +236,7 @@ def _cycle_kernel(o: np.ndarray) -> _Cycle:
     # cumsum adds in index order at every width, so a column's area does not
     # depend on how many columns share the call
     cum = np.cumsum(0.5 * (rel_x[:-1] * rel_y[1:] - rel_y[:-1] * rel_x[1:]), axis=0)
-    return _Cycle(cand_x, cand_y, slack, heights, cum, cum[-1], None)
+    return _Cycle(cand_x, cand_y, slack, heights, cum, cum[-1], np.zeros(c, dtype=bool))
 
 
 def _true_supports(o: np.ndarray) -> np.ndarray:
@@ -238,18 +262,18 @@ def _cycles(o: np.ndarray) -> _Cycle:
     """The one candidate-cycle geometry, for the batch engine and scalar states alike.
 
     Columns whose raw cycle is infeasible are re-run on their true supports
-    and scattered back; ``tightened`` marks them (``None`` when there are none).
+    and scattered back; ``tightened`` marks them.
     """
     g = _cycle_kernel(o)
     bad = g.slack < -_FEAS_EPS
-    if not bad.any():
-        return g
-    fix = _cycle_kernel(_true_supports(o[:, bad]))
-    if (fix.slack < -_FEAS_EPS).any():
-        raise StateCorruptionError("candidate cycle infeasible on the true supports")
-    for whole, part in zip(g[:-1], fix[:-1]):
-        whole[..., bad] = part
-    return g._replace(tightened=bad)
+    if bad.any():
+        fix = _cycle_kernel(_true_supports(o[:, bad]))
+        if (fix.slack < -_FEAS_EPS).any():
+            raise StateCorruptionError("candidate cycle infeasible on the true supports")
+        for whole, part in zip(g, fix):
+            whole[..., bad] = part
+        g.tightened[bad] = True
+    return g
 
 
 def _fan_points(g: _Cycle, u: np.ndarray):
@@ -272,13 +296,29 @@ def _fan_points(g: _Cycle, u: np.ndarray):
     return px, g.y[0, :, None] + a2 * ey.take(b) + a3 * ey.take(b + c)
 
 
-def _state_cycle(s: PolygonState) -> _Cycle:
-    """The state's geometry as a one-column block; computed once per state."""
-    g = getattr(s, "_cycle")
-    if g is None:
-        g = _cycles(s.offsets[:, None])
-        object.__setattr__(s, "_cycle", g)
-    return g
+def _lifts(o: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Which points ``(px, py)`` (C, W) raise some offset of columns ``o`` (k, C).
+
+    Point p raises side i iff ``<p, q_i> - rho > o_i``, the strict test under
+    which :func:`_raise` changes ``o``.  In place, one side at a time: fresh
+    (C, W) temporaries cost about as much as the arithmetic.
+    """
+    rho = math.cos(math.pi / len(o))
+    lifts = np.zeros(px.shape, dtype=bool)
+    t, s, b = np.empty_like(px), np.empty_like(px), np.empty_like(lifts)
+    for (qx, qy), oi in zip(_fan(len(o))[0], o):
+        np.multiply(qx, px, out=t)
+        t += np.multiply(qy, py, out=s)
+        t -= rho
+        lifts |= np.greater(t, oi[:, None], out=b)
+    return lifts
+
+
+def _raise(o: np.ndarray, px, py) -> np.ndarray:
+    """Offsets ``max(o_i, <p, q_i> - rho)``: ``o`` (k, C) after points (C,), or (k,) after one."""
+    dirs = _fan(len(o))[0]
+    lift = np.multiply.outer(dirs[:, 0], px) + np.multiply.outer(dirs[:, 1], py)
+    return np.maximum(o, lift - math.cos(math.pi / len(o)))
 
 
 def _cap_geometry(b: np.ndarray, d: np.ndarray, levels: np.ndarray):
@@ -315,38 +355,12 @@ def _cap_geometry(b: np.ndarray, d: np.ndarray, levels: np.ndarray):
 
 def snapshot(s: PolygonState) -> PolygonSnapshot:
     """Full derived geometry; computed once per state and cached."""
-    cached = getattr(s, "_snap")
-    if cached is not None:
-        return cached
-    g = _state_cycle(s)
-    area = float(g.area[0])
-    if area <= 0.0:
-        raise StateCorruptionError("offset polygon degenerated to zero area")
-    boundary = np.column_stack([g.x[:, 0], g.y[:, 0]])
-    heights = g.heights[:, 0]
-    dots = boundary @ s.directions.T
-    labeled = boundary[np.argmax(dots, axis=0)]
-    levels = dots.min(axis=0) + s.rho
-    region_areas, reduced = _cap_geometry(boundary, dots - levels, levels)
-    snap = PolygonSnapshot(
-        k=s.k,
-        boundary=boundary,
-        vertices=labeled,
-        heights=heights,
-        max_height=float(heights.max()),
-        area=area,
-        region_areas=region_areas,
-        change_area=float(region_areas.sum()),
-        reduced=reduced,
-        degenerate=g.tightened is not None,
-    )
-    object.__setattr__(s, "_snap", snap)
-    return snap
+    return s._snapshot
 
 
 def _state_points(s: PolygonState, u: np.ndarray):
     """Uniform points ``(px, py)`` of the state from draws ``u`` (3, 1, W); see :func:`_fan_points`."""
-    g = _state_cycle(s)
+    g = s._cycle
     if g.area[0] <= 1e-12:
         raise DomainError("cannot sample from a zero-area region")
     return _fan_points(g, u)
@@ -359,13 +373,12 @@ def sample_point(s: PolygonState, rng: RngStream) -> np.ndarray:
 
 
 def apply_polygon_point(s: PolygonState, p) -> PolygonState:
-    """Intersect with ``p + K``: raise each offset to ``<p, q_i> - rho_k`` (as the batch does).
+    """Intersect with ``p + K``: :func:`_raise` the offsets, as the batch does.
 
     A point that misses every cap returns ``s`` itself, with its cached geometry.
     """
     p = np.asarray(p, dtype=float)
-    dirs = s.directions
-    o = np.maximum(s.offsets, dirs[:, 0] * p[0] + dirs[:, 1] * p[1] - s.rho)
+    o = _raise(s.offsets, p[0], p[1])
     return s if np.array_equal(o, s.offsets) else PolygonState(s.k, o)
 
 
@@ -380,17 +393,13 @@ def _walk(s: PolygonState, n: int, rng: RngStream):
     A one-row :func:`run_polygon_batch` (see
     :func:`~diminish.distributions._change_walk`): each round draws its
     window of points with :func:`_fan_points` and screens them with the
-    engine's strict test for a raised offset; only a point that passes it
-    goes through :func:`apply_polygon_point`.  A point does not depend on
-    the shape of the call that computes it, so every state and every check
-    is the scalar step's.
+    engine's :func:`_lifts`; only a point that passes it goes through
+    :func:`apply_polygon_point`.  A point does not depend on the shape of the
+    call that computes it, so every state and every check is the scalar step's.
     """
-    dirs = np.asarray(s.directions)
 
     def hits(s, u):
-        px, py = _state_points(s, u.transpose(2, 0, 1))
-        lifts = dirs[:, 0, None] * px + dirs[:, 1, None] * py - s.rho > s.offsets[:, None]
-        return lifts.any(axis=0, keepdims=True)
+        return _lifts(s.offsets[:, None], *_state_points(s, u.transpose(2, 0, 1)))
 
     def step(s, u):
         px, py = _state_points(s, u.reshape(3, 1, 1))
@@ -517,8 +526,7 @@ def run_polygon_batch(k: int, n: int, replicas: int, seed: int) -> PolygonBatchR
     The engine runs in the rounds of
     :func:`~diminish.distributions.window_rounds`.  A round draws the next
     window of steps of every replica from its current geometry and finds the
-    first step whose point raises an offset, ``<p, q_i> - rho > o_i`` (the
-    strict test under which the scalar ``np.maximum`` changes ``o``).  A
+    first step whose point raises an offset (:func:`_lifts`).  A
     replica without one advances the whole window; a replica whose first
     change is window step f advances f + 1 steps, takes that point's
     offsets, and only such replicas go through :func:`_cycles` again.
@@ -532,8 +540,6 @@ def run_polygon_batch(k: int, n: int, replicas: int, seed: int) -> PolygonBatchR
     """
     if k < 5:
         raise DomainError(f"k must be >= 5, got {k}")
-    dirs = np.asarray(reference_directions(k))
-    rho = math.cos(math.pi / k)
     is_pentagon = k == 5
 
     rounds = window_rounds(seed, replicas, n, 3, _CHUNK)
@@ -543,12 +549,10 @@ def run_polygon_batch(k: int, n: int, replicas: int, seed: int) -> PolygonBatchR
     min_slack = np.full(replicas, np.inf)
     max_rise = np.full(replicas, -np.inf)
     fallback = np.zeros(replicas, dtype=int)
-    tight = np.zeros(replicas, dtype=bool)
 
     def enter(cols, new: _Cycle):
         """Feed the new states of replicas ``cols`` to the accumulators."""
-        tight[cols] = False if new.tightened is None else new.tightened
-        fallback[cols] += tight[cols]
+        fallback[cols] += new.tightened
         min_slack[cols] = np.minimum(min_slack[cols], new.slack)
         area_min[cols] = np.minimum(area_min[cols], new.area)
         area_max[cols] = np.maximum(area_max[cols], new.area)
@@ -556,36 +560,24 @@ def run_polygon_batch(k: int, n: int, replicas: int, seed: int) -> PolygonBatchR
             resid = np.abs(pentagon_residual(new.heights.T))
             max_residual[cols] = np.maximum(max_residual[cols], resid)
 
-    o = np.full((k, replicas), -rho)
+    o = np.full((k, replicas), -math.cos(math.pi / k))
     # every replica starts from K, so one column's geometry serves them all
-    g = _Cycle(*(np.repeat(a, replicas, axis=-1) for a in _cycles(o[:, :1])[:-1]), None)
+    g = _Cycle(*(np.repeat(a, replicas, axis=-1) for a in _cycles(o[:, :1])))
     enter(slice(None), g)
     for w in rounds:
         act = w.act
-        px, py = _fan_points(
-            _Cycle(*(a[..., act] for a in g[:-1]), None), w.draws.transpose(2, 0, 1)
-        )
-        # qx * px + qy * py - rho > o_i, in place: fresh temporaries of
-        # this size cost about as much as the arithmetic
-        lifts = np.zeros(px.shape, dtype=bool)
-        t, s, b = np.empty_like(px), np.empty_like(px), np.empty_like(lifts)
-        for (qx, qy), oi in zip(dirs, o[:, act]):
-            np.multiply(qx, px, out=t)
-            t += np.multiply(qy, py, out=s)
-            t -= rho
-            lifts |= np.greater(t, oi[:, None], out=b)
-        rows, at, kept = w.advance(lifts)  # kept: unchanged states entered
-        fallback[act] += kept * tight[act]
+        px, py = _fan_points(_Cycle(*(a[..., act] for a in g)), w.draws.transpose(2, 0, 1))
+        rows, at, kept = w.advance(_lifts(o[:, act], px, py))  # kept: unchanged states entered
+        fallback[act] += kept * g.tightened[act]
         max_rise[act] = np.where(kept > 0, np.maximum(max_rise[act], 0.0), max_rise[act])
         if not rows.size:
             continue
         cc = act[rows]
-        hx, hy = px[rows, at], py[rows, at]
-        o[:, cc] = np.maximum(o[:, cc], dirs[:, 0, None] * hx + dirs[:, 1, None] * hy - rho)
+        o[:, cc] = _raise(o[:, cc], px[rows, at], py[rows, at])
         new = _cycles(o[:, cc])
         enter(cc, new)
         max_rise[cc] = np.maximum(max_rise[cc], (new.heights - g.heights[:, cc]).max(axis=0))
-        for whole, part in zip(g[:-1], new[:-1]):
+        for whole, part in zip(g, new):
             whole[..., cc] = part
     final_heights = np.ascontiguousarray(g.heights.T)
     if np.any(g.area <= 0.0):

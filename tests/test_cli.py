@@ -91,6 +91,16 @@ class TestParseConfig:
         assert (cfg.n, cfg.replicas, cfg.seed, cfg.d) == (10, 2, 3, 2)
         assert all(type(v) is int for v in (cfg.n, cfg.replicas, cfg.seed, cfg.d))
 
+    @pytest.mark.parametrize("alias,k", [("pentagon", 5), ("heptagon", 7), ("octagon", 8)])
+    def test_alias_with_its_own_k(self, alias, k):
+        for given in (k, float(k), str(k)):
+            cfg = parse_config({"process": alias, "k": given, "n": 10, "replicas": 1})
+            assert cfg.process == "polygon" and cfg.k == k
+
+    def test_alias_conflicting_with_k_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="'pentagon' has k = 5, got k = 7"):
+            parse_config({"process": "pentagon", "k": 7, "n": 10, "replicas": 1})
+
     def test_bad_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -147,6 +157,13 @@ class TestCommands:
             header = next(csv.reader(fh))
         assert header[:4] == ["step", "max_height", "area", "reduced"]
         assert header[4:] == [f"height_{i}" for i in range(1, 6)]
+
+    def test_alias_conflicting_with_k_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "pent.csv"
+        argv = ["simulate", "--process", "pentagon", "--k", "7", "--n", "5", "--out", str(out)]
+        assert main(argv) == 1
+        assert "k = 5, got k = 7" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_experiment_deterministic(self, tmp_path):
         args = [

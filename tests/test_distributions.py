@@ -137,6 +137,13 @@ class TestReplicaBlocks:
         with pytest.raises(DomainError, match="chunk"):
             replica_blocks(1, 4, 10, 1, chunk)
 
+    @pytest.mark.parametrize("make", [replica_blocks, window_rounds])
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_draws_below_one_rejected_at_the_call(self, make, draws):
+        # not a ZeroDivisionError or ValueError on the first next()
+        with pytest.raises(DomainError, match="draws"):
+            make(1, 4, 10, draws, 2)
+
     @pytest.mark.parametrize("block", [0, -1])
     def test_block_below_one_rejected(self, block):
         with pytest.raises(DomainError, match="block"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diminish import distributions, polygon
@@ -12,7 +12,9 @@ from diminish.oracle import _clip_edge, clip_convex_by_convex, match_point_sets,
 from diminish.polygon import (
     PolygonBatchResult,
     PolygonState,
-    _state_cycle,
+    _lifts,
+    _raise,
+    _state_points,
     apply_polygon_point,
     bound_constants,
     chebyshev_center,
@@ -48,7 +50,7 @@ def assert_rows_replay(k: int, n: int, replicas: int, seed: int, chunk: int):
         states = [polygon_new(k)]
         for _ in range(n):
             states.append(polygon_step(states[-1], rng))
-        cycles = [_state_cycle(s) for s in states]
+        cycles = [s._cycle for s in states]
         heights = np.array([g.heights[:, 0] for g in cycles])
         area = np.array([g.area[0] for g in cycles])
         snap = snapshot(states[-1])
@@ -57,7 +59,7 @@ def assert_rows_replay(k: int, n: int, replicas: int, seed: int, chunk: int):
         assert area.min() == res.area_min[r] and area.max() == res.area_max[r], (k, r)
         assert min(g.slack[0] for g in cycles) == res.min_slack[r], (k, r)
         assert np.diff(heights, axis=0).max() == res.max_height_rise[r], (k, r)
-        assert sum(g.tightened is not None for g in cycles) == res.fallback_steps[r], (k, r)
+        assert sum(g.tightened[0] for g in cycles) == res.fallback_steps[r], (k, r)
         if k == 5:
             assert np.abs(pentagon_residual(heights)).max() == res.max_residual[r], r
     return res
@@ -69,6 +71,11 @@ def assert_same_batch(a: PolygonBatchResult, b: PolygonBatchResult):
         assert (x is None and y is None) or np.array_equal(x, y), name
 
 
+def apex(snap, q) -> np.ndarray:
+    """The boundary point furthest along ``q``."""
+    return snap.boundary[np.argmax(snap.boundary @ np.asarray(q))]
+
+
 def octagon_with_redundant_side():
     """K cut by translates along q_0 and q_2: side line 1 misses the polygon."""
     q = np.asarray(reference_directions(8))
@@ -78,6 +85,15 @@ def octagon_with_redundant_side():
         s = apply_polygon_point(s, p)
         oracle = clip_convex_by_convex(oracle, base + p)
     return s, oracle
+
+
+def hexagon_with_redundant_side():
+    """K cut by translates along q_0 and q_2: side line 1 misses the hexagon."""
+    q = np.asarray(reference_directions(6))
+    s = polygon_new(6)
+    for p in (0.6 * q[0], 0.6 * q[2]):
+        s = apply_polygon_point(s, p)
+    return s
 
 
 def clip_above(verts, q, level):
@@ -186,15 +202,18 @@ class TestSnapshot:
                 snapshot(PolygonState(k, np.full(k, 0.9)))
 
     def test_labeled_vertices_are_support_points(self):
+        # for odd k each q_i points at its own vertex A_i, which lies m_i above side i
         rng = RngStream(42, 0)
         s = polygon_new(5)
         for _ in range(30):
             s = polygon_step(s, rng)
         snap = snapshot(s)
         dirs = np.asarray(s.directions)
+        labels = np.argmax(snap.boundary @ dirs.T, axis=0)
+        assert len(set(labels.tolist())) == 5
         for i in range(5):
-            alpha = (snap.boundary @ dirs[i]).max()
-            assert snap.vertices[i] @ dirs[i] == pytest.approx(alpha, abs=1e-12)
+            rise = apex(snap, dirs[i]) @ dirs[i] - s.offsets[i]
+            assert rise == pytest.approx(snap.heights[i], abs=1e-12)
 
 
 class TestStep:
@@ -210,7 +229,8 @@ class TestStep:
         center, _ = chebyshev_center(s)
         assert apply_polygon_point(s, center) is s
         assert snapshot(apply_polygon_point(s, center)) is snap
-        hit = apply_polygon_point(s, snap.vertices[0] - 0.01 * np.asarray(s.directions[0]))
+        q = np.asarray(s.directions[0])
+        hit = apply_polygon_point(s, apex(snap, q) - 0.01 * q)
         assert hit is not s and snapshot(hit) is not snap
 
     def test_golden_ratio_coupling(self):
@@ -221,8 +241,7 @@ class TestStep:
         s = reduced_regular_pentagon(excess)
         snap = snapshot(s)
         dirs = np.asarray(s.directions)
-        apex = snap.vertices[0]
-        p = apex - (1.0 - h) * excess * dirs[0]
+        p = apex(snap, dirs[0]) - (1.0 - h) * excess * dirs[0]
         out = apply_polygon_point(s, p)
         assert out is not s
         drop = snap.heights - snapshot(out).heights
@@ -278,6 +297,47 @@ class TestStep:
     )
     def test_batch_rows_replay_scalar_property(self, k, seed, n, replicas, chunk):
         assert_rows_replay(k, n, replicas, seed, chunk)
+
+
+class TestStepDecision:
+    """``_lifts`` marks a point iff ``_raise`` changes its column, bit for bit."""
+
+    STARTS = {
+        **{f"k{k}": lambda k=k: polygon_new(k) for k in range(5, 10)},
+        "octagon": lambda: octagon_with_redundant_side()[0],
+        "hexagon": hexagon_with_redundant_side,
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.sampled_from(sorted(STARTS)),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(0, 80),
+        width=st.integers(1, 64),
+    )
+    @example(start="octagon", seed=3, steps=0, width=16)
+    @example(start="hexagon", seed=4, steps=0, width=16)
+    def test_lift_iff_raise(self, start, seed, steps, width):
+        rng = RngStream(seed, 0)
+        s = self.STARTS[start]()
+        for _ in range(steps):
+            s = polygon_step(s, rng)
+        inside = _state_points(s, rng.uniform((3, 1, width)))
+        box = 3.0 * rng.uniform((2, 1, width)) - 1.5
+        dirs = np.asarray(s.directions)
+        # one point past each lift line, along its side's direction
+        past = (s.offsets + s.rho + 0.25)[:, None] * dirs
+        px, py = (np.hstack([a[0], b[0], c]) for a, b, c in zip(inside, box, past.T))
+        o = np.repeat(s.offsets[:, None], px.size, axis=1)
+        raised = _raise(o, px, py)
+        lifts = _lifts(s.offsets[:, None], px[None], py[None])[0]
+        assert np.array_equal(lifts, (raised != o).any(axis=0))
+        assert lifts[-s.k :].all()
+        applied = [apply_polygon_point(s, p).offsets for p in zip(px, py)]
+        assert np.array_equal(np.array(applied).T, raised)
+        # a raised column puts its point exactly on the raised sides' lift lines
+        assert not _lifts(raised, px[:, None], py[:, None]).any()
+        assert np.array_equal(_raise(raised, px, py), raised)
 
 
 class TestDegenerate:

@@ -16,27 +16,12 @@ from diminish import interval, polygon, simplex
 from diminish.cube import UNIFORM_LAW, cube_trajectory
 from diminish.distributions import DfForm, RngStream, df_form_ppf
 from diminish.interval import _keep_band, apply_full_step, interval_new, step_full
-from diminish.polygon import (
-    apply_polygon_point,
-    polygon_new,
-    polygon_step,
-    reference_directions,
-    snapshot,
-)
+from diminish.polygon import polygon_new, polygon_step, snapshot
 from diminish.simplex import simplex_full_step, simplex_new
 
-from test_polygon import octagon_with_redundant_side
+from test_polygon import hexagon_with_redundant_side, octagon_with_redundant_side
 
 LAWS = [DfForm(0.3, 2.0), DfForm(0.5, 1.0), DfForm(0.0, 0.5), DfForm(0.8, 0.25), DfForm(1.0, 3.0)]
-
-
-def hexagon_with_redundant_side():
-    """K cut by translates along q_0 and q_2: side line 1 misses the hexagon."""
-    q = np.asarray(reference_directions(6))
-    s = polygon_new(6)
-    for p in (0.6 * q[0], 0.6 * q[2]):
-        s = apply_polygon_point(s, p)
-    return s
 
 
 FAMILIES = {
