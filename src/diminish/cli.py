@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import DfForm, RngStream
-from .cube import cube_trajectory
+from .cube import UNIFORM_LAW, _walk as cube_walk
 from .errors import ConfigurationError, DiminishError
 from .interval import _walk as interval_walk, interval_new
 from .polygon import _walk as polygon_walk, polygon_new, snapshot
@@ -86,9 +86,11 @@ def parse_config(source, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             data[key] = value
-    for key in data:
+    for key, value in data.items():
         if key not in CONFIG_KEYS:
             raise ConfigurationError(f"unknown config key: {key!r}")
+        if key in ("process", "out") and not isinstance(value, (str, type(None))):
+            raise ConfigurationError(f"config key {key!r} must be a string, got {value!r}")
     process = data.get("process")
     if process is None:
         raise ConfigurationError("missing required key: 'process'")
@@ -154,9 +156,9 @@ def _trajectory(cfg: RunConfig):
             + [f"center_{a}" for a in range(cfg.d)]
             + [f"radius_{a}" for a in range(cfg.d)]
         )
-        values = np.hstack(cube_trajectory(cfg.d, cfg.n, rng))
-        change = np.flatnonzero((values[1:] != values[:-1]).any(axis=1)) + 1
-        steps, fields = change.tolist(), values[np.r_[0, change]].tolist()
+        start = (interval_new(UNIFORM_LAW),) * cfg.d
+        steps, states = cube_walk(cfg.d, cfg.n, rng)
+        fields = [(*(a.center for a in s), *(a.radius for a in s)) for s in (start, *states)]
     elif cfg.process == "simplex":
         header = ["step", "height"] + [f"center_{a}" for a in range(cfg.d)]
         start = simplex_new(cfg.d)

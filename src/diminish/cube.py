@@ -6,14 +6,11 @@ process.  No native d-dimensional sampler exists here by design; axis ``a``
 of replica stream ``rng`` always draws from ``rng.substream(a)``, which makes
 axis assignment a pure relabeling of sub-streams.
 
-:func:`cube_trajectory` walks each axis from change to change on its
-sub-stream (a one-row :func:`~diminish.interval.run_full_batch` whose
-candidates go through the scalar step's exact update) and repeats each
-state over the steps it lasts, so every row is the state the per-step
-:func:`~diminish.interval.step_full` loop reaches.  The batch runner is one
-:func:`~diminish.interval.run_full_batch` call per axis on paths ``(a,)``,
-so it inherits the screened window engine and its replay contract: batch
-row ``r`` equals the last row of :func:`cube_trajectory` on
+A cube trajectory is the union of its axes' changes: :func:`_walk` merges
+the change walks of the axes (:func:`~diminish.interval._walk`).  The batch
+runner is one :func:`~diminish.interval.run_full_batch` call per axis on
+paths ``(a,)``, so it inherits the screened window engine and its replay
+contract: batch row ``r`` equals the last state of :func:`_walk` on
 ``RngStream(seed, r)`` bit for bit.
 """
 
@@ -23,26 +20,32 @@ import numpy as np
 
 from .distributions import DfForm, RngStream
 from .errors import DomainError
-from .interval import _walk, interval_new, run_full_batch
+from .interval import _walk as interval_walk, interval_new, run_full_batch
 
-__all__ = ["UNIFORM_LAW", "cube_trajectory", "cube_run_batch"]
+__all__ = ["UNIFORM_LAW", "cube_run_batch"]
 
 UNIFORM_LAW = DfForm(c=0.5, delta=1.0)
 
 
-def cube_trajectory(d: int, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and radii of every axis after steps 0..n; shape (n+1, d)."""
+def _walk(d: int, n: int, rng: RngStream):
+    """The changes of ``n`` cube steps on ``rng``: ``(steps, states)``.
+
+    ``states[i]`` is the tuple of the d axis states from step ``steps[i]``
+    on; axes that change at the same step give one entry.
+    """
     if d < 1 or n < 1:
         raise DomainError("d and n must be >= 1")
-    centers = np.empty((n + 1, d))
-    radii = np.empty((n + 1, d))
-    for a in range(d):
-        start = interval_new(UNIFORM_LAW)
-        steps, states = _walk(start, n, rng.substream(a))
-        lasts = np.diff([0, *steps, n + 1])
-        centers[:, a] = np.repeat([s.center for s in (start, *states)], lasts)
-        radii[:, a] = np.repeat([s.radius for s in (start, *states)], lasts)
-    return centers, radii
+    start = interval_new(UNIFORM_LAW)
+    walks = [interval_walk(start, n, rng.substream(a)) for a in range(d)]
+    axes, steps, states = [start] * d, [], []
+    for t, a, s in sorted((t, a, s) for a, w in enumerate(walks) for t, s in zip(*w)):
+        axes[a] = s
+        if steps and steps[-1] == t:
+            states.pop()
+        else:
+            steps.append(t)
+        states.append(tuple(axes))
+    return steps, states
 
 
 def cube_run_batch(d: int, n: int, replicas: int, seed: int):

@@ -93,25 +93,32 @@ def interval_new(law: DfForm) -> IntervalState:
     return IntervalState(0.0, 1.0, law)
 
 
-def apply_full_step(s: IntervalState, x: float) -> IntervalState:
-    """Intersect with the unit-radius translate around the point at quantile x.
+def _clip(z, r, x):
+    """Cut ``[z - r, z + r]`` by ``[p - 1, p + 1]``, ``p = z - r + 2 r x``, elementwise.
 
-    The point is ``p = Z - r + 2 r x``; the new interval is
-    ``[max(Z - r, p - 1), min(Z + r, p + 1)]``.  The new radius must agree
-    with the one-line recursion ``1/2 + r min(x, 1-x)`` (no-change branch
-    when ``min(x, 1-x) > 1 - 1/(2r)``); a mismatch raises
+    Returns ``(change, center, radius)``: whether the cut moves the
+    interval, and the center and radius of the cut.
+    """
+    p = z - r + 2.0 * r * x
+    lo, hi = np.maximum(z - r, p - 1.0), np.minimum(z + r, p + 1.0)
+    return (p - 1.0 > z - r) | (p + 1.0 < z + r), 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def apply_full_step(s: IntervalState, x: float) -> IntervalState:
+    """Intersect with the unit-radius translate around the point at quantile x (:func:`_clip`).
+
+    The new radius must agree with the one-line recursion
+    ``1/2 + r min(x, 1-x)`` (no-change branch when
+    ``min(x, 1-x) > 1 - 1/(2r)``); a mismatch raises
     :class:`StateCorruptionError`.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("quantile draw must lie in [0, 1]")
-    z, r = s.center, s.radius
-    p = z - r + 2.0 * r * x
-    if p - 1.0 <= z - r and p + 1.0 >= z + r:
+    change, center, radius = _clip(s.center, s.radius, x)
+    if not change:
         return s  # translate covers the interval: no change, exactly
-    lo = max(z - r, p - 1.0)
-    hi = min(z + r, p + 1.0)
-    new = IntervalState(0.5 * (lo + hi), 0.5 * (hi - lo), s.law)
-    m = min(x, 1.0 - x)
+    new = IntervalState(float(center), float(radius), s.law)
+    m, r = min(x, 1.0 - x), s.radius
     expected = 0.5 + r * m if m <= 1.0 - 1.0 / (2.0 * r) else r
     if not abs(new.radius - expected) <= 1e-12:
         raise StateCorruptionError("geometric step diverged from radius recursion")
@@ -198,8 +205,8 @@ def run_full_batch(
     lies strictly inside its replica's :func:`_keep_band` leaves the interval
     as it is; the rounds of :func:`~diminish.distributions.window_rounds`
     move each replica to its first step outside the band (a candidate).  Only
-    a candidate goes through :func:`df_form_ppf` and the exact update of
-    :func:`apply_full_step`; a candidate that the exact test keeps is an
+    a candidate goes through :func:`df_form_ppf` and :func:`_clip`, the cut
+    of :func:`apply_full_step`; a candidate that the exact test keeps is an
     unchanged step, and a change recomputes its replica's band.
 
     The screen is sound because its margin sits in x, not in u.  A uniform
@@ -222,15 +229,9 @@ def run_full_batch(
         if not rows.size:
             continue
         cc = w.act[rows]
-        x = df_form_ppf(u[rows, at], law)
-        zc, rc = z[cc], r[cc]
-        p = zc - rc + 2.0 * rc * x
-        change = (p - 1.0 > zc - rc) | (p + 1.0 < zc + rc)
-        cc, zc, rc, p = cc[change], zc[change], rc[change], p[change]
-        a = np.maximum(zc - rc, p - 1.0)
-        b = np.minimum(zc + rc, p + 1.0)
-        z[cc] = 0.5 * (a + b)
-        r[cc] = 0.5 * (b - a)
+        change, zc, rc = _clip(z[cc], r[cc], df_form_ppf(u[rows, at], law))
+        cc = cc[change]
+        z[cc], r[cc] = zc[change], rc[change]
         lo[cc], hi[cc] = _keep_band(r[cc], law)
     return r, z
 

@@ -170,7 +170,6 @@ class PolygonState:
             region_areas=region_areas,
             change_area=float(region_areas.sum()),
             reduced=reduced,
-            degenerate=bool(g.tightened[0]),
         )
 
 
@@ -183,8 +182,7 @@ class PolygonSnapshot:
     repeats the vertex its redundant side lines pass through.
     ``region_areas[i]`` is the area of the cap above ``o_i' + rho`` and
     ``reduced`` reports pairwise disjointness of the positive caps, decided
-    geometrically.  ``degenerate`` flags states whose raw candidate cycle was
-    infeasible and had to be rebuilt from the true supports.
+    geometrically.
     """
 
     k: int
@@ -195,7 +193,6 @@ class PolygonSnapshot:
     region_areas: np.ndarray
     change_area: float
     reduced: bool
-    degenerate: bool
 
 
 def polygon_new(k: int) -> PolygonState:

@@ -150,15 +150,23 @@ def _uniform_weights(u: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def _apply_draws(s: SimplexState, u: np.ndarray) -> SimplexState:
+    """``s`` after the step on the d + 1 uniforms ``u``; ``s`` itself when no offset moves.
+
+    The state goes through the batch kernels as a single row, so batch rows
+    replay it exactly.
+    """
+    o = offsets_after_point(s.offsets[None], _uniform_weights(u[None]), s.rho)[0]
+    return s if np.array_equal(o, s.offsets) else SimplexState(s.d, o)
+
+
 def simplex_full_step(s: SimplexState, rng: RngStream) -> SimplexState:
     """Choose a uniform point in the current body and intersect.
 
     Uniformity via symmetric Dirichlet(1, ..., 1) weights over the current
-    vertices (normalized exponentials).  The state goes through the batch
-    kernel as a single row, so batch rows replay it exactly.
+    vertices (normalized exponentials).
     """
-    lam = _uniform_weights(rng.uniform((1, s.d + 1)))
-    return SimplexState(s.d, offsets_after_point(s.offsets[None], lam, s.rho)[0])
+    return _apply_draws(s, rng.uniform(s.d + 1))
 
 
 def change_probability(s: SimplexState) -> float:
@@ -331,19 +339,14 @@ def _walk(s: SimplexState, n: int, rng: RngStream):
 
     A one-row :func:`run_simplex_batch` (see
     :func:`~diminish.distributions._change_walk`): only a step that fails
-    the screen goes through :func:`_uniform_weights` and
-    :func:`offsets_after_point`, so every state and every check is the
-    scalar step's.
+    the screen goes through :func:`_apply_draws`, the scalar step's kernel,
+    so every state and every check is the scalar step's.
     """
 
     def hits(s, u):
         return _screen_hits(u, _screen_scale(s.offsets[None], s.rho))
 
-    def step(s, u):
-        o = offsets_after_point(s.offsets[None], _uniform_weights(u[None]), s.rho)[0]
-        return s if np.array_equal(o, s.offsets) else SimplexState(s.d, o)
-
-    return _change_walk(s, n, rng, s.d + 1, hits, step)
+    return _change_walk(s, n, rng, s.d + 1, hits, _apply_draws)
 
 
 def run_thinned_batch(d: int, replicas: int, seed: int):

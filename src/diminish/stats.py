@@ -46,7 +46,6 @@ class ScaledSample:
     n: int
     replica: int
     process: str
-    exponent: float
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -199,36 +198,25 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
     if cfg.process == "interval":
         law = DfForm(cfg.c, cfg.delta)
         radii, centers = run_full_batch(law, cfg.n, cfg.replicas, cfg.seed)
-        exponent = 1.0 / cfg.delta
-        values = 4.0 * cfg.n**exponent * (radii - 0.5)
+        values = 4.0 * cfg.n ** (1.0 / cfg.delta) * (radii - 0.5)
         extras = {"radii": radii, "centers": centers}
     elif cfg.process == "cube":
         scaled_max, edge_excess, centers = cube_run_batch(cfg.d, cfg.n, cfg.replicas, cfg.seed)
-        exponent = 1.0
         values = scaled_max
         extras = {"edge_excess": edge_excess, "centers": centers}
     elif cfg.process == "simplex":
         heights, centers = run_simplex_batch(cfg.d, cfg.n, cfg.replicas, cfg.seed)
         rho = 1.0 / cfg.d
-        exponent = 1.0 / cfg.d
-        values = ((cfg.d + 1) * cfg.n) ** exponent / rho * (heights - rho)
+        values = ((cfg.d + 1) * cfg.n) ** (1.0 / cfg.d) / rho * (heights - rho)
         extras = {"heights": heights, "centers": centers}
     else:
         batch = run_polygon_batch(cfg.k, cfg.n, cfg.replicas, cfg.seed)
         rho = math.cos(math.pi / cfg.k)
         excess = batch.max_height - rho
-        exponent = 0.5 if cfg.k % 2 == 1 else 1.0
-        values = cfg.n**exponent * excess
-        extras = {
-            "final_heights": batch.final_heights,
-            "final_area": batch.final_area,
-            "excess": excess,
-            "batch": batch,
-        }
+        values = cfg.n ** (0.5 if cfg.k % 2 == 1 else 1.0) * excess
+        extras = {"excess": excess, "batch": batch}
     if float(np.min(values)) < -1e-9:
         raise DomainError("scaled height statistic came out negative")
     values = np.maximum(values, 0.0)
-    samples = [
-        ScaledSample(float(v), cfg.n, i, cfg.process, exponent) for i, v in enumerate(values)
-    ]
+    samples = [ScaledSample(float(v), cfg.n, i, cfg.process) for i, v in enumerate(values)]
     return ExperimentResult(cfg, samples, extras)

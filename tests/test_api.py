@@ -1,14 +1,15 @@
 """Every name a module exports has a caller in the package or in perfbench.
 
-The guarded names are each module's ``__all__`` and the public methods and
-properties of the classes in it (``Class.method``).  A name counts as used
-when code outside its own definition refers to it; a method counts as used
-when some live code reads an attribute of its name, its own class's other
-methods included.  Imports, ``__all__`` entries and docstrings are not
-references, so the package's ``__init__`` re-exports do not count, and
-neither do tests.  Code inside the definition of an unused name does not
-count either: a name whose only callers are themselves unused is reported
-with them.
+The guarded names are each module's ``__all__`` and the public methods,
+properties and fields (dataclass and NamedTuple annotations) of the classes
+in it (``Class.member``).  A name counts as used when code outside its own
+definition refers to it; a member counts as used when some live code reads
+an attribute of its name, its own class's other methods included, so
+constructing a class does not use its fields.  Imports, ``__all__`` entries
+and docstrings are not references, so the package's ``__init__`` re-exports
+do not count, and neither do tests.  Code inside the definition of an unused
+name does not count either: a name whose only callers are themselves unused
+is reported with them.
 """
 
 import ast
@@ -32,9 +33,13 @@ ALLOWED = {
     "(tests/test_distributions.py::TestDfForm)",
     "ks_two_sample": "the two-sample statistic of the fixed-point and self-similarity tests "
     "(tests/test_interval.py, tests/test_simplex.py, tests/test_distributions.py)",
-    "BoundConstants.rate_envelope_upper": "the upper rate envelope of the heptagon, tested "
-    "against samples (tests/test_stats.py::test_heptagon_rate_envelope_upper_bound); "
+    "BoundConstants.rate_envelope_upper": "ROADMAP item 7: the upper rate envelope of the heptagon, "
+    "tested against samples (tests/test_stats.py::test_heptagon_rate_envelope_upper_bound); "
     "no verify check reads the upper envelope yet",
+    "BoundConstants.c2": "ROADMAP item 7: the odd-k rate bound's constant, pinned by "
+    "tests/test_polygon.py::TestBoundConstants; no verify check reads it yet",
+    "BoundConstants.c3": "ROADMAP item 7: the scale of the upper rate envelope, read only by "
+    "rate_envelope_upper",
 }
 
 
@@ -46,21 +51,24 @@ def _exports(tree):
 
 
 def _guarded(mod, tree):
-    """``{(mod, name)}`` per export, and ``(mod, "Class.method")`` per public method of an exported class."""
+    """``{(mod, name)}`` per export, and ``(mod, "Class.member")`` per public method,
+    property or field of an exported class."""
     exports = _exports(tree)
     out = {(mod, name) for name in exports}
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name in exports:
-            out |= {
-                (mod, f"{node.name}.{item.name}")
+            members = [
+                item.name if isinstance(item, ast.FunctionDef) else item.target.id
                 for item in node.body
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-            }
+                if isinstance(item, (ast.FunctionDef, ast.AnnAssign))
+            ]
+            out |= {(mod, f"{node.name}.{m}") for m in members if not m.startswith("_")}
     return out
 
 
 def _references(mod, tree):
-    """``(name, owners)`` per reference: the enclosing top-level definition and method, if any."""
+    """``(name, read, owners)`` per reference: ``read`` marks an attribute read, and
+    ``owners`` are the enclosing top-level definition and method, if any."""
     for node in tree.body:
         top = ((mod, node.name),) if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ()
         method = {}
@@ -71,9 +79,9 @@ def _references(mod, tree):
         for sub in ast.walk(node):
             owners = top + ((method[id(sub)],) if id(sub) in method else ())
             if isinstance(sub, ast.Name):
-                yield sub.id, owners
+                yield sub.id, False, owners
             elif isinstance(sub, ast.Attribute):
-                yield sub.attr, owners
+                yield sub.attr, isinstance(sub.ctx, ast.Load), owners
 
 
 def unused_exports(trees=None):
@@ -89,8 +97,13 @@ def unused_exports(trees=None):
     # greatest fixed point: drop every name referenced from outside the unused set
     unused = guarded
     while True:
-        live = {name for name, owners in refs if unused.isdisjoint(owners)}
-        still = {(mod, name) for mod, name in unused if name.rpartition(".")[2] not in live}
+        live = [(name, read) for name, read, owners in refs if unused.isdisjoint(owners)]
+        names, reads = {name for name, _ in live}, {name for name, read in live if read}
+        still = {
+            (mod, name)
+            for mod, name in unused
+            if name.rpartition(".")[2] not in (reads if "." in name else names)
+        }
         if still == unused:
             return unused
         unused = still
@@ -137,3 +150,35 @@ def test_methods_are_guarded():
     tree = ast.parse(textwrap.dedent(source))
     # a sibling method's call counts; a method's call to itself does not
     assert unused_exports({"m": tree}) == {("m", "Box.lonely"), ("m", "Box.size")}
+
+
+def test_fields_are_guarded():
+    source = """
+        from dataclasses import dataclass
+        from typing import NamedTuple
+
+        __all__ = ["Pair", "Point", "use"]
+
+        @dataclass(frozen=True)
+        class Pair:
+            left: int
+            right: int
+            built: int
+
+            def total(self):
+                return self.left
+
+        class Point(NamedTuple):
+            x: float
+            y: float
+
+        def use(pair, point):
+            return pair.total() + point.x
+
+        RESULT = use(Pair(left=1, right=2, built=3), Point(0.0, y=1.0))
+        right = RESULT
+    """
+    tree = ast.parse(textwrap.dedent(source))
+    # a read inside a live method counts; construction, keywords and a bare name do not
+    unused = {("m", "Pair.right"), ("m", "Pair.built"), ("m", "Point.y")}
+    assert unused_exports({"m": tree}) == unused

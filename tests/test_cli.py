@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from diminish.errors import ConfigurationError
 from diminish.stats import RunConfig, run_experiment
 from diminish import verification
 from diminish.verification import CheckResult
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParseConfig:
@@ -100,6 +106,15 @@ class TestParseConfig:
     def test_alias_conflicting_with_k_is_rejected(self):
         with pytest.raises(ConfigurationError, match="'pentagon' has k = 5, got k = 7"):
             parse_config({"process": "pentagon", "k": 7, "n": 10, "replicas": 1})
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("process", ["interval"]), ("process", 5), ("out", ["a"]), ("out", 1), ("out", True)],
+    )
+    def test_non_string_value_names_key(self, key, value):
+        cfg = {"process": "interval", "n": 3, "replicas": 1, key: value}
+        with pytest.raises(ConfigurationError, match=f"config key '{key}' must be a string"):
+            parse_config(cfg)
 
     def test_bad_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -315,6 +330,35 @@ class TestCommands:
             assert f"error: config key 'n' must be an integer, got {value!r}" in err
 
 
+    @pytest.mark.parametrize("key,value", [("out", ["a"]), ("process", ["interval"])])
+    def test_non_string_config_value_is_a_usage_error(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"process": "interval", "n": 3, "replicas": 1, key: value}))
+        assert main(["simulate", "--config", str(config)]) == 1
+        assert f"error: config key '{key}' must be a string" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_integer_out_leaves_stdout_open(self, tmp_path):
+        # open(1) would write the CSV to file descriptor 1 and close it with the file
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"process": "interval", "n": 3, "replicas": 1, "out": 1}))
+        script = (
+            "import os\n"
+            "from diminish.cli import main\n"
+            f"code = main(['simulate', '--config', {str(config)!r}])\n"
+            "os.fstat(1)\n"
+            "print('exit', code)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert done.stdout == "exit 1\n", done.stderr
+        assert "error: config key 'out' must be a string, got 1" in done.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 class TestSimulateReplaysExperimentRowZero:
     """``simulate`` writes replica 0 of its seed: its last row is ``experiment`` row 0."""
 
@@ -356,6 +400,6 @@ class TestSimulateReplaysExperimentRowZero:
     def test_polygon(self, tmp_path, k):
         row = self.last_row(tmp_path, ["--process", "polygon", "--k", str(k)], 800, 8)
         ex = self.extras(process="polygon", k=k, n=800, seed=8)
-        assert [row[f"height_{i + 1}"] for i in range(k)] == ex["final_heights"][0].tolist()
-        assert row["area"] == ex["final_area"][0]
+        assert [row[f"height_{i + 1}"] for i in range(k)] == ex["batch"].final_heights[0].tolist()
+        assert row["area"] == ex["batch"].final_area[0]
         assert row["max_height"] == ex["batch"].max_height[0]

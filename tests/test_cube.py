@@ -1,17 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diminish import interval
-from diminish.cube import UNIFORM_LAW, cube_run_batch, cube_trajectory
+from diminish.cli import _trajectory
+from diminish.cube import UNIFORM_LAW, _walk, cube_run_batch
 from diminish.distributions import RngStream
 from diminish.errors import DomainError
 from diminish.interval import interval_new, step_full
+from diminish.stats import RunConfig
+
+
+def walked(d, n, rng):
+    """Centers and radii of every state of the cube walk, the start included; shape (states, d)."""
+    _, states = _walk(d, n, rng)
+    axes = [(interval_new(UNIFORM_LAW),) * d, *states]
+    return tuple(np.array([[getattr(a, f) for a in s] for s in axes]) for f in ("center", "radius"))
 
 
 class TestCubeConstruction:
     def test_bad_dimension(self):
         with pytest.raises(DomainError):
-            cube_trajectory(0, 10, RngStream(1, 0))
+            _walk(0, 10, RngStream(1, 0))
         with pytest.raises(DomainError):
             cube_run_batch(0, 10, 4, 1)
 
@@ -19,7 +30,7 @@ class TestCubeConstruction:
 class TestProductStructure:
     def test_d1_reduces_to_interval(self):
         # same stream -> identical trajectory
-        centers, radii = cube_trajectory(1, 300, RngStream(21, 0))
+        centers, radii = walked(1, 300, RngStream(21, 0))
         s = interval_new(UNIFORM_LAW)
         rng = RngStream(21, 0).substream(0)
         for _ in range(300):
@@ -29,7 +40,7 @@ class TestProductStructure:
 
     def test_axis_exchangeability(self):
         # axis a always consumes sub-stream a: permuting assignment permutes outputs
-        centers, radii = cube_trajectory(3, 200, RngStream(22, 0))
+        centers, radii = walked(3, 200, RngStream(22, 0))
         for a in range(3):
             s = interval_new(UNIFORM_LAW)
             rng = RngStream(22, 0).substream(a)
@@ -43,7 +54,7 @@ class TestProductStructure:
         assert np.array_equal(scaled_max, excess.max(axis=1))
 
     def test_trajectory_monotone(self):
-        centers, radii = cube_trajectory(2, 100, RngStream(24, 0))
+        centers, radii = walked(2, 100, RngStream(24, 0))
         assert np.all(np.diff(radii, axis=0) <= 1e-15)
         assert radii.min() >= 0.5 - 1e-12
 
@@ -66,7 +77,7 @@ class TestBatch:
         for d in (1, 2, 3, 5):
             scaled_max, excess, centers = cube_run_batch(d, 250, 4, seed=25)
             for r in range(4):
-                cent, radii = cube_trajectory(d, 250, RngStream(25, r))
+                cent, radii = walked(d, 250, RngStream(25, r))
                 row_excess = 2.0 * 250 * (2.0 * radii[-1] - 1.0)
                 assert np.array_equal(excess[r], row_excess)
                 assert np.array_equal(centers[r], cent[-1])
@@ -84,6 +95,20 @@ class TestBatch:
         for a, b in zip(cut, whole):
             assert a.tobytes() == b.tobytes()
         for r in range(replicas):
-            cent, radii = cube_trajectory(d, n, RngStream(27, r))
+            cent, radii = walked(d, n, RngStream(27, r))
             assert np.array_equal(cut[1][r], 2.0 * n * (2.0 * radii[-1] - 1.0))
             assert np.array_equal(cut[2][r], cent[-1])
+
+
+class TestWalk:
+    def test_trajectory_memory_is_per_change(self):
+        # dense (n + 1, d) centers and radii, stacked, took 96 MB here
+        cfg = RunConfig(process="cube", n=10**6, replicas=1, seed=9, d=3)
+        tracemalloc.start()
+        try:
+            header, steps, fields = _trajectory(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(fields) == len(steps) + 1 and len(header) == 7
+        assert peak <= 16e6, peak

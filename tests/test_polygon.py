@@ -192,7 +192,7 @@ class TestSnapshot:
                     areas, reduced = reference_caps(body, dirs, state.rho)
                     assert np.abs(snap.region_areas - areas).max() <= 1e-12, (k, rep, step)
                     assert snap.reduced == reduced, (k, rep, step)
-                    degenerate[k] += snap.degenerate
+                    degenerate[k] += state._cycle.tightened[0]
         # the closed forms are exercised on rebuilt (degenerate) cycles too
         assert degenerate[8] + degenerate[9] > 0, degenerate
 
@@ -344,7 +344,7 @@ class TestDegenerate:
     def test_redundant_side_matches_clipping_oracle(self):
         s, oracle = octagon_with_redundant_side()
         snap = snapshot(s)
-        assert snap.degenerate
+        assert s._cycle.tightened[0]
         assert len(snap.boundary) == 8 and len(oracle) == 7
         assert match_point_sets(snap.boundary, oracle) <= 1e-12
         dots = oracle @ np.asarray(s.directions).T
@@ -361,7 +361,7 @@ class TestDegenerate:
 
     def test_regular_start_is_not_degenerate(self):
         for k in (5, 6, 7, 8, 9):
-            assert not snapshot(polygon_new(k)).degenerate
+            assert not polygon_new(k)._cycle.tightened[0]
 
 
 class TestSamplePoint:

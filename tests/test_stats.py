@@ -149,12 +149,13 @@ class TestRunExperiment:
         assert len(res.samples) == 5
         first = res.samples[0]
         assert first.replica == 0 and first.n == 50 and first.process == "polygon"
-        assert first.exponent == 0.5
+        assert np.array_equal(res.values(), np.maximum(50**0.5 * res.extras["excess"], 0.0))
         assert res.values().min() >= 0.0
 
     def test_even_polygon_exponent(self):
         cfg = RunConfig(process="polygon", k=8, n=50, replicas=3, seed=56)
-        assert run_experiment(cfg).samples[0].exponent == 1.0
+        res = run_experiment(cfg)
+        assert np.array_equal(res.values(), np.maximum(50**1.0 * res.extras["excess"], 0.0))
 
     def test_simplex_scaling(self):
         cfg = RunConfig(process="simplex", d=2, n=100, replicas=4, seed=57)
