@@ -136,6 +136,8 @@ class PolygonState:
         o = np.asarray(self.offsets, dtype=float)
         if o.shape != (self.k,):
             raise DomainError("offsets must have k entries")
+        if not np.isfinite(o).all():
+            raise StateCorruptionError("offsets must be finite")
         object.__setattr__(self, "offsets", o)
 
     @property
@@ -154,7 +156,7 @@ class PolygonState:
     def _snapshot(self) -> PolygonSnapshot:
         g = self._cycle
         area = float(g.area[0])
-        if area <= 0.0:
+        if not area > 0.0:
             raise StateCorruptionError("offset polygon degenerated to zero area")
         boundary = np.column_stack([g.x[:, 0], g.y[:, 0]])
         heights = g.heights[:, 0]
@@ -273,24 +275,28 @@ def _cycles(o: np.ndarray) -> _Cycle:
     return g
 
 
-def _fan_points(g: _Cycle, u: np.ndarray):
-    """Uniform points ``(px, py)``, each (C, W), of the cycles from draws ``u`` (3, C, W).
+def _fan_points(x, y, cum, area, u: np.ndarray):
+    """Uniform points ``(px, py)``, each (C, W), of cycles from draws ``u`` (3, C, W).
 
-    Column c draws W points of its own cycle.  ``u[0]`` picks a fan triangle
-    from candidate 0 by area; ``u[1], u[2]`` are its barycentric weights,
-    reflected when they sum past one.  The arithmetic is elementwise, so a
-    point does not depend on the shape of the call.
+    ``x, y, cum, area`` are those :class:`_Cycle` fields.  Column c draws W
+    points of its own cycle.  ``u[0]`` picks a fan triangle from candidate 0
+    by area; ``u[1], u[2]`` are its barycentric weights, reflected when they
+    sum past one.  The arithmetic is elementwise, so a point does not depend
+    on the shape of the call or on whether its columns are views.
     """
-    k, c = g.x.shape
-    idx = np.minimum((g.cum[..., None] < u[0] * g.area[:, None]).sum(axis=0), k - 3)
+    c = x.shape[1]
+    # cum[-1] is the area itself and u < 1 gives fl(u * area) <= area, so the
+    # last compare never holds: the pick stops at triangle k - 3 unclamped
+    idx = (cum[:-1, :, None] < u[0] * area[:, None]).sum(axis=0)
     b = idx * c + np.arange(c)[:, None]  # triangle (0, idx + 1, idx + 2) of each column
-    ex, ey = (g.x[1:] - g.x[0]).ravel(), (g.y[1:] - g.y[0]).ravel()  # candidate j + 1 - candidate 0
+    bc = b + c
+    ex, ey = (x[1:] - x[0]).ravel(), (y[1:] - y[0]).ravel()  # candidate j + 1 - candidate 0
     a2, a3 = u[1], u[2]
     refl = a2 + a3 > 1.0
     a2 = np.where(refl, 1.0 - a2, a2)
     a3 = np.where(refl, 1.0 - a3, a3)
-    px = g.x[0, :, None] + a2 * ex.take(b) + a3 * ex.take(b + c)
-    return px, g.y[0, :, None] + a2 * ey.take(b) + a3 * ey.take(b + c)
+    px = x[0, :, None] + a2 * ex.take(b) + a3 * ex.take(bc)
+    return px, y[0, :, None] + a2 * ey.take(b) + a3 * ey.take(bc)
 
 
 def _lifts(o: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -360,7 +366,7 @@ def _state_points(s: PolygonState, u: np.ndarray):
     g = s._cycle
     if g.area[0] <= 1e-12:
         raise DomainError("cannot sample from a zero-area region")
-    return _fan_points(g, u)
+    return _fan_points(g.x, g.y, g.cum, g.area, u)
 
 
 def sample_point(s: PolygonState, rng: RngStream) -> np.ndarray:
@@ -527,6 +533,11 @@ def run_polygon_batch(k: int, n: int, replicas: int, seed: int) -> PolygonBatchR
     replica without one advances the whole window; a replica whose first
     change is window step f advances f + 1 steps, takes that point's
     offsets, and only such replicas go through :func:`_cycles` again.
+    A round reads the replicas' state in place: its replica ids ascend, and
+    when they run without a gap (almost every round) the cycle arrays,
+    offsets and accumulators are indexed through one slice, a view.  Other
+    rounds gather only the fields they read (the fan sampler's four cycle
+    fields, the offsets and ``tightened``), never whole cycles.
 
     All n + 1 states of a row feed the accumulators.  An unchanged step
     repeats the state, so it leaves the area, slack and residual extremes as
@@ -562,11 +573,13 @@ def run_polygon_batch(k: int, n: int, replicas: int, seed: int) -> PolygonBatchR
     g = _Cycle(*(np.repeat(a, replicas, axis=-1) for a in _cycles(o[:, :1])))
     enter(slice(None), g)
     for w in rounds:
-        act = w.act
-        px, py = _fan_points(_Cycle(*(a[..., act] for a in g)), w.draws.transpose(2, 0, 1))
-        rows, at, kept = w.advance(_lifts(o[:, act], px, py))  # kept: unchanged states entered
-        fallback[act] += kept * g.tightened[act]
-        max_rise[act] = np.where(kept > 0, np.maximum(max_rise[act], 0.0), max_rise[act])
+        act = w.act  # ascending: a gapless run of ids is read through views
+        cols = slice(act[0], act[-1] + 1) if act[-1] - act[0] + 1 == act.size else act
+        u = w.draws.transpose(2, 0, 1)
+        px, py = _fan_points(g.x[:, cols], g.y[:, cols], g.cum[:, cols], g.area[cols], u)
+        rows, at, kept = w.advance(_lifts(o[:, cols], px, py))  # kept: unchanged states entered
+        fallback[cols] += kept * g.tightened[cols]
+        max_rise[cols] = np.where(kept > 0, np.maximum(max_rise[cols], 0.0), max_rise[cols])
         if not rows.size:
             continue
         cc = act[rows]

@@ -306,6 +306,41 @@ class TestCommands:
         }
         assert entry["seconds"] > 0.0
 
+    def test_verify_json_stats_are_pinned(self, tmp_path):
+        # exact stats of the sub-second checks at the default seed; figure-ranges
+        # and rate-discrimination run the polygon batch engine end to end
+        pinned = {
+            "figure-ranges": {
+                "k7_min": 0.15085451634218927,
+                "k7_max": 1.2809581131942671,
+                "k8_min": 0.25853936443143155,
+                "k8_max": 5.070651852605734,
+            },
+            "rate-discrimination": {
+                "k7_ratio": 1.063785157840976,
+                "k8_ratio": 1.0400383483028566,
+                "k8_sqrt_drift": 4.128432676436544,
+                "k8_sqrt_monotone": True,
+            },
+            "interval-center": {
+                "beta_ks_0.5_1.0": 0.0028945329795935226,
+                "arcsine_ks": 0.0028945329795935226,
+                "beta_ks_0.3_2.0": 0.002044364305371471,
+            },
+            "geometry-oracle": {
+                "polygon_k5": 4.440892098500626e-16,
+                "polygon_k7": 4.440892098500626e-16,
+                "polygon_k8": 9.377312593151945e-16,
+                "simplex_d2": 2.2887833992611187e-16,
+                "simplex_d3": 2.3055512673781017e-16,
+            },
+        }
+        json_out = tmp_path / "report.json"
+        checks = [arg for name in pinned for arg in ("--check", name)]
+        assert main(["verify", *checks, "--json", str(json_out)]) == 0
+        report = json.loads(json_out.read_text())
+        assert {name: report[name]["stats"] for name in pinned} == pinned
+
     def test_bad_env_seed_is_a_usage_error(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("DIMINISH_SEED", "abc")
         out = tmp_path / "traj.csv"

@@ -12,6 +12,8 @@ from diminish.oracle import _clip_edge, clip_convex_by_convex, match_point_sets,
 from diminish.polygon import (
     PolygonBatchResult,
     PolygonState,
+    _cycles,
+    _fan_points,
     _lifts,
     _raise,
     _state_points,
@@ -96,6 +98,19 @@ def hexagon_with_redundant_side():
     return s
 
 
+def redundant_middle_side(k: int) -> PolygonState:
+    """K cut by translates along q_2 and q_4: side line 3 misses the polygon.
+
+    Only fan triangle 1 of the rebuilt cycle is degenerate; the first and the
+    last have positive area.
+    """
+    q = np.asarray(reference_directions(k))
+    s = polygon_new(k)
+    for p in (0.7 * q[2], 0.7 * q[4]):
+        s = apply_polygon_point(s, p)
+    return s
+
+
 def clip_above(verts, q, level):
     """Part of a convex cycle with ``<x, q> >= level``: the oracle's edge clip."""
     a = level * q
@@ -137,6 +152,28 @@ class TestConstruction:
     def test_small_k_rejected(self):
         with pytest.raises(DomainError):
             polygon_new(4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offsets_rejected(self, bad):
+        offsets = polygon_new(5).offsets.copy()
+        offsets[2] = bad
+        with pytest.raises(StateCorruptionError):
+            PolygonState(5, offsets)
+        with pytest.raises(StateCorruptionError):
+            PolygonState(5, [bad] * 5)
+
+    def test_non_finite_point_is_corruption(self):
+        with pytest.raises(StateCorruptionError):
+            apply_polygon_point(polygon_new(5), (math.nan, 0.0))
+
+    def test_nan_area_snapshot_raises(self, monkeypatch):
+        def nan_area(o):
+            g = _cycles(o)
+            return g._replace(area=np.full_like(g.area, math.nan))
+
+        monkeypatch.setattr(polygon, "_cycles", nan_area)
+        with pytest.raises(StateCorruptionError):
+            snapshot(polygon_new(5))
 
     def test_reference_polygon_orientation(self):
         for k in (5, 7, 8):
@@ -287,6 +324,35 @@ class TestStep:
         monkeypatch.setattr(distributions, "_BLOCK_BYTES", width * chunk * 3 * 8)
         assert_same_batch(assert_rows_replay(k, n, replicas, 44, chunk), whole)
 
+    @pytest.mark.parametrize("k", [5, 8, 9])
+    def test_view_rounds_equal_gather_rounds(self, monkeypatch, k):
+        # a round whose replica ids run without a gap reads its state through
+        # slices, any other through gathers; chunk and block sizes mix both
+        n, replicas, seed = 150, 10, 45
+        kinds = set()
+
+        def recording_rounds(*args):
+            for w in distributions.window_rounds(*args):
+                kinds.add(bool(w.act[-1] - w.act[0] + 1 == w.act.size))
+                yield w
+
+        monkeypatch.setattr(polygon, "window_rounds", recording_rounds)
+        runs = []
+        for chunk in (3, replicas, 16384):
+            monkeypatch.setattr(polygon, "_CHUNK", chunk)
+            for width in (None, 2):  # whole-run blocks, then blocks of 2 steps
+                with pytest.MonkeyPatch.context() as mp:
+                    if width:
+                        mp.setattr(distributions, "_BLOCK_BYTES", width * min(chunk, replicas) * 3 * 8)
+                    runs.append(run_polygon_batch(k, n, replicas, seed))
+        assert kinds == {True, False}
+        fields = [
+            {name: v if v is None else np.asarray(v).tobytes() for name, v in vars(res).items()}
+            for res in runs
+        ]
+        assert all(f == fields[0] for f in fields[1:])
+        assert_same_batch(assert_rows_replay(k, n, replicas, seed, 3), runs[0])
+
     @settings(max_examples=12, deadline=None)
     @given(
         k=st.integers(6, 9),
@@ -401,6 +467,30 @@ class TestSamplePoint:
         freq = counts / n
         sigma = np.sqrt(weights * (1 - weights) / n)
         assert np.all(np.abs(freq - weights) <= 3.5 * sigma)
+
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_triangle_pick_edges(self, k):
+        # u0 just below one picks the last triangle k - 3 and u0 = 0 the first,
+        # on a regular and a rebuilt column alike, with no clamp on the pick
+        tight = redundant_middle_side(k)
+        assert tight._cycle.tightened[0]
+        g = _cycles(np.column_stack([polygon_new(k).offsets, tight.offsets]))
+        assert g.tightened.tolist() == [False, True]
+        top = np.nextafter(1.0, 0.0)
+        u0 = np.array([[top, 0.0, top, 0.0]] * 2)
+        a2 = np.array([[0.25, 0.25, 0.75, 0.75]] * 2)  # the last two reflect
+        a3 = np.array([[0.5, 0.5, 0.625, 0.625]] * 2)
+        px, py = _fan_points(g.x, g.y, g.cum, g.area, np.stack([u0, a2, a3]))
+        # the clamped reference: full cumulative compare, then min with k - 3
+        idx = np.minimum((g.cum[:, :, None] < u0 * g.area[:, None]).sum(axis=0), k - 3)
+        assert idx.tolist() == [[k - 3, 0, k - 3, 0]] * 2
+        refl = a2 + a3 > 1.0
+        b2, b3 = np.where(refl, 1.0 - a2, a2), np.where(refl, 1.0 - a3, a3)
+        col = np.arange(2)[:, None]
+        for got, v in ((px, g.x), (py, g.y)):
+            e = v[1:] - v[0]
+            ref = v[0, :, None] + b2 * e[idx, col] + b3 * e[idx + 1, col]
+            assert np.array_equal(got, ref)
 
     def test_zero_area_rejected(self):
         # all offsets zero: the polygon is the single point at the origin
