@@ -10,17 +10,17 @@ Subcommands:
 Configuration is a flat JSON document mapping the run fields; command-line
 flags override file values.  All numeric CSV fields are serialized with 17
 significant digits, so re-reading a file reproduces the values bit-exactly.
-Exit codes: 0 success, 1 usage or configuration error, 2 verification
+Exit codes: 0 success, 1 usage, configuration or file error, 2 verification
 threshold failure (the report is still emitted).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,7 @@ def parse_config(source, overrides: dict | None = None) -> RunConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config file {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
             raise ConfigurationError(f"config file {source} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError("config file must contain a flat JSON object")
@@ -111,31 +111,53 @@ def parse_config(source, overrides: dict | None = None) -> RunConfig:
     return RunConfig(**kwargs).validate()
 
 
-def emit_csv(records, destination, header) -> int:
-    """Write schema rows (17 significant digits for floats); returns the row count.
+# ---------------------------------------------------------------------------
+# Emission: every file goes through _write.
+# ---------------------------------------------------------------------------
 
-    An IO failure is reported with the number of rows already written.
+
+_ROWS_PER_WRITE = 65536
+
+
+def _line(values) -> str:
+    """One CSV line: floats with 17 significant digits, every other field ``str``."""
+    return ",".join([f"{v:.17g}" if isinstance(v, float) else str(v) for v in values]) + "\r\n"
+
+
+def _write(destination, head: str, blocks=()) -> int:
+    """Write ``head``, then each block of lines, to ``destination``; returns the rows in blocks.
+
+    The one place that opens an output file; an :class:`OSError` becomes a
+    :class:`ConfigurationError` naming the rows already written.
     """
     count = 0
     try:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for record in records:
-                writer.writerow(
-                    [f"{v:.17g}" if isinstance(v, float) else v for v in record]
-                )
-                count += 1
+            fh.write(head)
+            for block in blocks:
+                fh.write("".join(block))
+                count += len(block)
+                del block  # free the lines before the next block is built
     except OSError as exc:
-        raise ConfigurationError(
-            f"failed writing {destination} after {count} rows: {exc}"
-        ) from exc
+        raise ConfigurationError(f"failed writing {destination} after {count} rows: {exc}") from exc
     return count
 
 
-# ---------------------------------------------------------------------------
-# Trajectory emission.
-# ---------------------------------------------------------------------------
+def emit_csv(records, destination, header) -> int:
+    """Write schema rows (17 significant digits for floats); returns the row count.
+
+    Fields are not quoted, so none may hold a comma, a quote or a line break.
+    An IO failure is reported with the number of rows already written.
+    """
+    lines = map(_line, records)
+    blocks = iter(lambda: list(islice(lines, _ROWS_PER_WRITE)), [])  # until a block is empty
+    return _write(destination, _line(header), blocks)
+
+
+def _emit_samples(result, destination) -> int:
+    """The ``replica,value`` CSV of an experiment's scaled samples."""
+    records = ([s.replica, s.value] for s in result.samples)
+    return emit_csv(records, destination, ["replica", "value"])
 
 
 def _trajectory(cfg: RunConfig):
@@ -174,34 +196,20 @@ def _trajectory(cfg: RunConfig):
     return header, steps, fields
 
 
-_ROWS_PER_WRITE = 65536
-
-
 def _emit_trajectory(cfg: RunConfig, destination) -> int:
     """Write steps 0..n of the trajectory as CSV, as :func:`emit_csv` would; returns the row count.
 
-    Each state's fields are formatted once and its rows written in joined blocks.
+    Each state's fields are formatted once and repeated over the steps it holds.
     """
     header, steps, fields = _trajectory(cfg)
-    tails = [
-        "".join(f",{v:.17g}" if isinstance(v, float) else f",{v}" for v in f) + "\r\n"
-        for f in fields
-    ]
+    tails = [_line(f) for f in fields]
     bounds = [0, *steps, cfg.n + 1]
-    count = 0
-    try:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerow(header)
-            for tail, first, stop in zip(tails, bounds, bounds[1:]):
-                for lo in range(first, stop, _ROWS_PER_WRITE):
-                    hi = min(lo + _ROWS_PER_WRITE, stop)
-                    fh.write("".join([f"{t}{tail}" for t in range(lo, hi)]))
-                    count = hi
-    except OSError as exc:
-        raise ConfigurationError(
-            f"failed writing {destination} after {count} rows: {exc}"
-        ) from exc
-    return count
+    blocks = (
+        [f"{t},{tail}" for t in range(lo, min(lo + _ROWS_PER_WRITE, stop))]
+        for tail, first, stop in zip(tails, bounds, bounds[1:])
+        for lo in range(first, stop, _ROWS_PER_WRITE)
+    )
+    return _write(destination, _line(header), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +252,7 @@ def _cmd_experiment(args) -> int:
     cfg = _config_from_args(args)
     result = run_experiment(cfg)
     dest = cfg.out or f"{cfg.process}_samples.csv"
-    count = emit_csv(
-        ([s.replica, s.value] for s in result.samples), dest, ["replica", "value"]
-    )
+    count = _emit_samples(result, dest)
     values = result.values()
     print(
         f"wrote {count} samples to {dest}: min={values.min():.6g} "
@@ -272,8 +278,8 @@ def _cmd_verify(args) -> int:
             }
             for r in results
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=lambda v: v.item())  # numpy scalars
+        # numpy scalars are written as their Python values
+        _write(args.json, json.dumps(payload, indent=2, default=lambda v: v.item()))
         print(f"wrote JSON summary to {args.json}")
     failed = [res.name for res in results if not res.passed]
     if failed:
@@ -291,9 +297,7 @@ def _cmd_figure(args) -> int:
     sizes = {"n": verification.FIGURE_N, "replicas": verification.FIGURE_REPLICAS, "seed": args.seed}
     result = run_experiment(parse_config(fig, sizes))
     dest = args.out or f"{args.which}.csv"
-    count = emit_csv(
-        ([s.replica, s.value] for s in result.samples), dest, ["replica", "value"]
-    )
+    count = _emit_samples(result, dest)
     print(f"wrote {count} rows of figure data to {dest}")
     return 0
 

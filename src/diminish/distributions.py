@@ -451,14 +451,10 @@ def _branchwise(arg, edge: float, low, high, domain: str):
 
     ``arg`` must lie in [0, 1] (else :class:`DomainError` with ``domain``).
     Each element goes through its own branch only, so the other branch can
-    neither overflow nor divide by zero.  A scalar is a one-element array, so
-    it takes the same power kernel as the batch engines.
+    neither overflow nor divide by zero.  A 0-d ``arg`` comes back as a float;
+    boolean indexing makes it a one-element array, so it takes the same power
+    kernel as the batch engines.
     """
-    if arg.ndim == 0:
-        v = float(arg)
-        if v < 0.0 or v > 1.0:
-            raise DomainError(domain)
-        return float((low if v <= edge else high)(arg.reshape(1))[0])
     if np.any((arg < 0.0) | (arg > 1.0)):
         raise DomainError(domain)
     lower = arg <= edge
@@ -466,7 +462,7 @@ def _branchwise(arg, edge: float, low, high, domain: str):
     out[lower] = low(arg[lower])
     upper = ~lower
     out[upper] = high(arg[upper])
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def df_form_cdf(x, f: DfForm):

@@ -6,13 +6,12 @@ interval is intersected with the unit-radius translate around the point, and
 the radius shrinks toward 1/2.  The steps that change the interval factorize
 into a sign ``xi`` and a multiplier ``V`` with CDF ``x**delta``: summing
 them gives the truncated series sampler for the limiting center
-(:func:`center_series_batch`), and prepending one of them gives the
-fixed-point map of its law (:func:`perpetuity_step`).
+(:func:`center_series_batch`).
 
 Draw discipline: the full step consumes one uniform per step, and batch rows
-replay it exactly.  A series term or perpetuity update takes a ``(2, ...)``
-block, signs then multipliers, with ``xi = +1`` iff the sign uniform is below
-``1 - c`` and ``V = U**(1/delta)``.
+replay it exactly.  A series term takes a ``(2, ...)`` block, signs then
+multipliers, with ``xi = +1`` iff the sign uniform is below ``1 - c`` and
+``V = U**(1/delta)``.
 
 The full batch runner does not evaluate every step.  A step keeps the
 interval exactly when its quantile lies in ``[1 - 1/(2r), 1/(2r)]``, which
@@ -38,7 +37,6 @@ __all__ = [
     "apply_full_step",
     "step_full",
     "center_series_batch",
-    "perpetuity_step",
     "run_full_batch",
 ]
 
@@ -152,20 +150,6 @@ def center_series_batch(rng: RngStream, c: float, delta: float, tol: float, size
         if not active.any():
             return z
     raise StateCorruptionError("center series failed to reach the truncation bound")
-
-
-def perpetuity_step(z, rng: RngStream, c: float, delta: float):
-    """One fixed-point update of the limit-center law: ``(1/2) xi (1-V) + V z``.
-
-    Equivalent to prepending a single thinned change step to the chain whose
-    limit the samples represent; a fixed point of this map is exactly the
-    limiting center distribution.
-    """
-    _check_thinned_law(c, delta)
-    z = np.asarray(z, dtype=float)
-    xi, v = _thinned_draws(rng.uniform((2, *z.shape)), c, delta)
-    out = 0.5 * xi * (1.0 - v) + v * z
-    return float(out) if out.ndim == 0 else out
 
 
 def _keep_band(r, law: DfForm):

@@ -48,7 +48,6 @@ __all__ = [
     "offsets_after_point",
     "simplex_full_step",
     "change_probability",
-    "simplex_perpetuity_step",
     "to_barycentric",
     "run_simplex_batch",
     "run_thinned_batch",
@@ -181,16 +180,6 @@ def change_probability(s: SimplexState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_weights(w: np.ndarray) -> None:
-    """Require ``d + 1 >= 2`` weights per point (last axis), summing to 1, none negative."""
-    if w.ndim == 0 or w.shape[-1] < 2:
-        raise DomainError("barycentric weights need d + 1 >= 2 entries per point")
-    if not np.all(np.abs(w.sum(axis=-1) - 1.0) <= 1e-12 * (w.shape[-1] + 1)):
-        raise DomainError("barycentric weights must sum to 1")
-    if np.any(w < -1e-12):
-        raise DomainError("barycentric weights must be nonnegative")
-
-
 def _vertex_pick(u, d: int):
     """Uniform vertex index in ``{0, ..., d}`` from uniforms ``u``."""
     return np.minimum((u * (d + 1)).astype(int), d)
@@ -211,19 +200,6 @@ def _thinned_update(w: np.ndarray, ell: np.ndarray, xi: np.ndarray, h: np.ndarra
     w = w - shift[:, None]
     w[np.arange(len(w)), xi] += (d + 1) * shift
     return w, ell * (1.0 - h)
-
-
-def simplex_perpetuity_step(weights, rng: RngStream):
-    """Fixed-point update of the limit law: ``h u_xi + (1 - h) Lambda``.
-
-    ``weights`` has shape (d+1,) or (N, d+1), rows of barycentric weights; one update per row.
-    """
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    _check_weights(w)
-    xi, h = _thinned_draws(rng.uniform((2, len(w))), w.shape[1] - 1)
-    out = (1.0 - h)[:, None] * w
-    out[np.arange(len(w)), xi] += h
-    return out[0] if np.asarray(weights).ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

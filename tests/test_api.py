@@ -21,18 +21,14 @@ SOURCES = sorted((ROOT / "src" / "diminish").glob("*.py")) + sorted((ROOT / "per
 
 # Exports kept without a caller, each with the reason it stays.
 ALLOWED = {
-    "perpetuity_step": "ROADMAP item 3: fixed-point map of the interval center law "
-    "(tests/test_interval.py::TestRepresentationConsistency::test_perpetuity_fixed_point)",
-    "simplex_perpetuity_step": "ROADMAP item 3: fixed-point map of the simplex center law "
-    "(tests/test_simplex.py::TestLimitLaws::test_perpetuity_fixed_point)",
     "to_barycentric": "ROADMAP item 3: weights of the full process's simplex centers",
     "change_probability": "ROADMAP item 5: the jump engine's change clock for the simplex",
     "heights_after_changes": "ROADMAP item 5: the simplex cap kernel without the clock; its "
     "test is the only check that geometric changes follow the thinned height law",
     "df_form_cdf": "the analytic CDF that df_form_ppf's round-trip tests invert "
     "(tests/test_distributions.py::TestDfForm)",
-    "ks_two_sample": "the two-sample statistic of the fixed-point and self-similarity tests "
-    "(tests/test_interval.py, tests/test_simplex.py, tests/test_distributions.py)",
+    "ks_two_sample": "the two-sample statistic of the engine-against-sampler and self-similarity "
+    "tests (tests/test_interval.py, tests/test_simplex.py, tests/test_distributions.py)",
     "BoundConstants.rate_envelope_upper": "ROADMAP item 7: the upper rate envelope of the heptagon, "
     "tested against samples (tests/test_stats.py::test_heptagon_rate_envelope_upper_bound); "
     "no verify check reads the upper envelope yet",

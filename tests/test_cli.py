@@ -394,6 +394,35 @@ class TestCommands:
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
+class TestFileErrors:
+    """A file that cannot be read or written ends the command with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--check", "figure-ranges", "--json"],
+            ["experiment", "--process", "interval", "--n", "10", "--replicas", "2", "--out"],
+            ["simulate", "--process", "pentagon", "--n", "10", "--out"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_directory(self, tmp_path, capsys, argv):
+        dest = tmp_path / "missing" / "out"
+        assert main([*argv, str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and "Traceback" not in err
+        assert err.startswith(f"error: failed writing {dest} after 0 rows: ")
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["experiment", "--config", str(bad), "--n", "10", "--replicas", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and "Traceback" not in err
+        assert err.startswith(f"error: config file {bad} is not valid JSON: ")
+        assert list(tmp_path.iterdir()) == [bad]
+
+
 class TestSimulateReplaysExperimentRowZero:
     """``simulate`` writes replica 0 of its seed: its last row is ``experiment`` row 0."""
 

@@ -130,3 +130,32 @@ def test_simulate_csv_matches_pinned_hash(tmp_path, name):
         f"simulate {name}: CSV bytes moved from the pinned trajectory on numpy "
         f"{np.__version__} (pinned with numpy 2.4.6): got {got}"
     )
+
+
+# ten scaled samples of n = 300 steps per process, and the published figure data
+EXPERIMENT = {
+    name: ["experiment", *SIMULATE[name], "--n", "300", "--replicas", str(REPLICAS)]
+    for name in ("interval-c0.3-d2", "cube-d3", "simplex-d3", "polygon-k5", "polygon-k8")
+}
+EXPERIMENT.update({which: ["figure", "--which", which] for which in ("fig7", "fig8")})
+
+EXPERIMENT_PINNED = {
+    "cube-d3": "b7450297f411d8ad793f97ee8111da2b32ba1e3ba891f24c58ef50e182dda11e",
+    "fig7": "9d50d98f0e3803232e59de3394bc860c3294b6f2b1bc3f546f6d5b7b1fa6fcdb",
+    "fig8": "9bb81e2c4dc4cc2076e9d1b64cf439c2a3d98a0f8dfb0d0e9be5220f8290c733",
+    "interval-c0.3-d2": "881b209d69e35c35b5fa7dbddfb865b88e3a2a52c51f8a3785a74ca6dc66de8d",
+    "polygon-k5": "eead5dcee7fd0a93a7cb41e316691ff698664e5010dbb7c33cf31e8feeeded30",
+    "polygon-k8": "0be0fa30e3f73c4e5847d69e2b98a0272bf5a3d746fd67b84de19be66b86caef",
+    "simplex-d3": "6409dd823c5ef4d3bf5653713ad0ad4b0e99c35621881a43c01eba4ccc2fbe9f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT))
+def test_sample_csv_matches_pinned_hash(tmp_path, name):
+    out = tmp_path / "samples.csv"
+    assert main([*EXPERIMENT[name], "--seed", str(SEED), "--out", str(out)]) == 0
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == EXPERIMENT_PINNED[name], (
+        f"{EXPERIMENT[name][0]} {name}: CSV bytes moved from the pinned samples on numpy "
+        f"{np.__version__} (pinned with numpy 2.4.6): got {got}"
+    )

@@ -27,7 +27,6 @@ from diminish.interval import (
     apply_full_step,
     center_series_batch,
     interval_new,
-    perpetuity_step,
     run_full_batch,
     step_full,
 )
@@ -216,15 +215,9 @@ class TestRepresentationConsistency:
     @pytest.mark.parametrize(
         "c,delta", [(0.5, -1.0), (0.5, 0.0), (0.5, math.inf), (0.5, math.nan), (0.0, 1.0), (1.0, 1.0)]
     )
-    def test_perpetuity_rejects_bad_law(self, c, delta):
+    def test_series_rejects_bad_law(self, c, delta):
         with pytest.raises(DomainError):
-            perpetuity_step(np.zeros(4), RngStream(11, 0), c, delta)
-
-    @pytest.mark.parametrize("c,delta", [(0.5, 1.0), (0.3, 2.0)])
-    def test_perpetuity_fixed_point(self, c, delta):
-        z = center_series_batch(RngStream(10, 0, (int(10 * c),)), c, delta, 1e-9, 10_000)
-        z_next = perpetuity_step(z, RngStream(11, 0, (int(10 * c),)), c, delta)
-        assert ks_two_sample(z, z_next) <= 0.02
+            center_series_batch(RngStream(11, 0), c, delta, 1e-9, 4)
 
 
 def assert_rows_replay(law, n, replicas, seed, chunk):

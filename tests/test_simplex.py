@@ -19,7 +19,6 @@ from diminish.simplex import (
     run_thinned_batch,
     simplex_full_step,
     simplex_new,
-    simplex_perpetuity_step,
     to_barycentric,
     vertex_matrix,
 )
@@ -267,21 +266,6 @@ class TestThinnedChain:
         edges = np.array([0.0, np.nextafter(1.0 / (d + 1), 0.0), np.nextafter(1.0, 0.0)])
         assert simplex._vertex_pick(edges, d).tolist() == [0, 0, d]
 
-    @pytest.mark.parametrize(
-        "weights,match",
-        [
-            ([1.0], "entries"),
-            ([[1.0]], "entries"),
-            ([0.5, 0.7], "sum"),
-            ([[0.5, 0.5], [0.5, 0.7]], "sum"),
-            ([0.5, np.nan], "sum"),
-            ([-0.5, 1.5], "nonnegative"),
-        ],
-    )
-    def test_perpetuity_rejects_bad_weights(self, weights, match):
-        with pytest.raises(DomainError, match=match):
-            simplex_perpetuity_step(np.array(weights), RngStream(1))
-
 
 class TestBarycentric:
     def test_centroid(self):
@@ -367,13 +351,6 @@ class TestLimitLaws:
         a = d / (d + 1)
         marg = stats.beta(a, d * a).cdf
         assert max(ks_stat(lam[:, i], marg) for i in range(d + 1)) <= 0.02
-
-    def test_perpetuity_fixed_point(self):
-        d = 2
-        lam = run_thinned_batch(d, 10_000, seed=35)
-        lam_next = simplex_perpetuity_step(lam, RngStream(36, 0))
-        for i in range(d + 1):
-            assert ks_two_sample(lam[:, i], lam_next[:, i]) <= 0.02
 
     def test_full_vs_thinned_height_after_changes(self):
         # height after the j-th shrink should follow rho (1 + prod(1 - h_i)),
