@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from itertools import islice
 from pathlib import Path
 
@@ -62,7 +63,7 @@ def _default_seed() -> int:
 
 
 def parse_config(source, overrides: dict | None = None) -> RunConfig:
-    """Build a validated run configuration from a JSON file path or a mapping.
+    """Build a run configuration from a JSON file path or a mapping.
 
     ``overrides`` (flag values) take precedence over file values; unknown
     keys are rejected by name.
@@ -108,11 +109,11 @@ def parse_config(source, overrides: dict | None = None) -> RunConfig:
     }
     if alias is not None and kwargs["k"] != alias:
         raise ConfigurationError(f"process {process!r} has k = {alias}, got k = {kwargs['k']}")
-    return RunConfig(**kwargs).validate()
+    return RunConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
-# Emission: every file goes through _write.
+# Emission: every file is opened by _output.
 # ---------------------------------------------------------------------------
 
 
@@ -124,23 +125,30 @@ def _line(values) -> str:
     return ",".join([f"{v:.17g}" if isinstance(v, float) else str(v) for v in values]) + "\r\n"
 
 
-def _write(destination, head: str, blocks=()) -> int:
-    """Write ``head``, then each block of lines, to ``destination``; returns the rows in blocks.
+@contextmanager
+def _output(destination):
+    """Open ``destination``; yield ``write(head, blocks=())``, which returns the rows in blocks.
 
-    The one place that opens an output file; an :class:`OSError` becomes a
-    :class:`ConfigurationError` naming the rows already written.
+    The one place that opens an output file, entered before a command's work
+    so that an unwritable destination fails first.  An :class:`OSError`
+    becomes a :class:`ConfigurationError` naming the rows already written.
     """
     count = 0
+
+    def write(head: str, blocks=()) -> int:
+        nonlocal count
+        fh.write(head)
+        for block in blocks:
+            fh.write("".join(block))
+            count += len(block)
+            del block  # free the lines before the next block is built
+        return count
+
     try:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(head)
-            for block in blocks:
-                fh.write("".join(block))
-                count += len(block)
-                del block  # free the lines before the next block is built
+            yield write
     except OSError as exc:
         raise ConfigurationError(f"failed writing {destination} after {count} rows: {exc}") from exc
-    return count
 
 
 def emit_csv(records, destination, header) -> int:
@@ -149,15 +157,21 @@ def emit_csv(records, destination, header) -> int:
     Fields are not quoted, so none may hold a comma, a quote or a line break.
     An IO failure is reported with the number of rows already written.
     """
-    lines = map(_line, records)
-    blocks = iter(lambda: list(islice(lines, _ROWS_PER_WRITE)), [])  # until a block is empty
-    return _write(destination, _line(header), blocks)
+    with _output(destination) as write:
+        return write(_line(header), _blocks(map(_line, records)))
 
 
-def _emit_samples(result, destination) -> int:
-    """The ``replica,value`` CSV of an experiment's scaled samples."""
-    records = ([s.replica, s.value] for s in result.samples)
-    return emit_csv(records, destination, ["replica", "value"])
+def _blocks(lines):
+    """``lines`` in lists of at most ``_ROWS_PER_WRITE``."""
+    return iter(lambda: list(islice(lines, _ROWS_PER_WRITE)), [])  # until a block is empty
+
+
+def _emit_samples(cfg: RunConfig, destination):
+    """Run ``cfg`` and write its ``replica,value`` CSV; returns the result and the row count."""
+    with _output(destination) as write:
+        result = run_experiment(cfg)
+        lines = map(_line, enumerate(result.values().tolist()))
+        return result, write(_line(["replica", "value"]), _blocks(lines))
 
 
 def _trajectory(cfg: RunConfig):
@@ -201,15 +215,15 @@ def _emit_trajectory(cfg: RunConfig, destination) -> int:
 
     Each state's fields are formatted once and repeated over the steps it holds.
     """
-    header, steps, fields = _trajectory(cfg)
-    tails = [_line(f) for f in fields]
-    bounds = [0, *steps, cfg.n + 1]
-    blocks = (
-        [f"{t},{tail}" for t in range(lo, min(lo + _ROWS_PER_WRITE, stop))]
-        for tail, first, stop in zip(tails, bounds, bounds[1:])
-        for lo in range(first, stop, _ROWS_PER_WRITE)
-    )
-    return _write(destination, _line(header), blocks)
+    with _output(destination) as write:
+        header, steps, fields = _trajectory(cfg)
+        bounds = [0, *steps, cfg.n + 1]
+        blocks = (
+            [f"{t},{tail}" for t in range(lo, min(lo + _ROWS_PER_WRITE, stop))]
+            for tail, first, stop in zip(map(_line, fields), bounds, bounds[1:])
+            for lo in range(first, stop, _ROWS_PER_WRITE)
+        )
+        return write(_line(header), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +264,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _config_from_args(args)
-    result = run_experiment(cfg)
     dest = cfg.out or f"{cfg.process}_samples.csv"
-    count = _emit_samples(result, dest)
+    result, count = _emit_samples(cfg, dest)
     values = result.values()
     print(
         f"wrote {count} samples to {dest}: min={values.min():.6g} "
@@ -262,24 +275,26 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = args.check or None
-    results = verification.run_suite(names, _default_seed() if args.seed is None else args.seed)
-    for res in results:
-        print(res.report())
-    if args.json:
-        payload = {
-            r.name: {
-                "passed": r.passed,
-                "statistics": r.lines,
-                "stats": r.stats,
-                "thresholds": r.thresholds,
-                "seconds": r.seconds,
-                "note": r.note,
+    seed = _default_seed() if args.seed is None else args.seed
+    with _output(args.json) if args.json else nullcontext() as write:
+        results = verification.run_suite(args.check or None, seed)
+        for res in results:
+            print(res.report())
+        if write:
+            payload = {
+                r.name: {
+                    "passed": r.passed,
+                    "statistics": r.lines,
+                    "stats": r.stats,
+                    "thresholds": r.thresholds,
+                    "seconds": r.seconds,
+                    "note": r.note,
+                }
+                for r in results
             }
-            for r in results
-        }
-        # numpy scalars are written as their Python values
-        _write(args.json, json.dumps(payload, indent=2, default=lambda v: v.item()))
+            # numpy scalars are written as their Python values
+            write(json.dumps(payload, indent=2, default=lambda v: v.item()))
+    if write:
         print(f"wrote JSON summary to {args.json}")
     failed = [res.name for res in results if not res.passed]
     if failed:
@@ -295,9 +310,8 @@ _FIGURES = {"fig7": 7, "fig8": 8}  # the polygon k of each published figure
 def _cmd_figure(args) -> int:
     fig = {"process": "polygon", "k": _FIGURES[args.which]}
     sizes = {"n": verification.FIGURE_N, "replicas": verification.FIGURE_REPLICAS, "seed": args.seed}
-    result = run_experiment(parse_config(fig, sizes))
     dest = args.out or f"{args.which}.csv"
-    count = _emit_samples(result, dest)
+    _, count = _emit_samples(parse_config(fig, sizes), dest)
     print(f"wrote {count} rows of figure data to {dest}")
     return 0
 

@@ -23,7 +23,6 @@ through the quantile and the exact update (see :func:`run_full_batch`);
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,17 +58,12 @@ class IntervalState:
             raise DomainError("interval must be contained in [-1, 1]")
 
 
-def _check_thinned_law(c: float, delta: float, tol: float | None = None) -> None:
-    """Reject ``c`` outside (0, 1), ``delta`` not positive and finite, and ``tol <= 0``.
-
-    At ``c = 0`` or ``1`` the center degenerates to -1/2 or +1/2 and the
-    thinned factorization does not apply.
-    """
+def _check_thinned_law(c: float, tol: float) -> None:
+    """Reject ``tol <= 0`` and ``c`` outside (0, 1), where the center degenerates to -1/2
+    or +1/2 and the thinned factorization does not apply; :class:`DfForm` checks the rest."""
     if not (0.0 < c < 1.0):
         raise DomainError(f"thinned chain requires c in (0, 1); endpoint laws degenerate, got {c}")
-    if not 0.0 < delta < math.inf:
-        raise DomainError(f"delta must be positive and finite, got {delta}")
-    if tol is not None and not tol > 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
 
 
@@ -130,7 +124,7 @@ def step_full(s: IntervalState, rng: RngStream) -> IntervalState:
 _MAX_TERMS = 100_000
 
 
-def center_series_batch(rng: RngStream, c: float, delta: float, tol: float, size: int):
+def center_series_batch(rng: RngStream, law: DfForm, tol: float, size: int):
     """Truncated series samples of the limiting center, all drawn from one stream.
 
     Each slot accumulates ``(1/2) sum xi_i V_1...V_{i-1} (1 - V_i)`` and stops
@@ -138,12 +132,13 @@ def center_series_batch(rng: RngStream, c: float, delta: float, tol: float, size
     so its absolute truncation error is below ``tol``.  Term-major draw order:
     every slot draws each term, and finished slots ignore theirs.
     """
-    _check_thinned_law(c, delta, tol)
+    _check_thinned_law(law.c, tol)
     z = np.zeros(size)
     pref = np.full(size, 0.5)
     active = np.ones(size, dtype=bool)
     for _ in range(_MAX_TERMS):
-        moved, shrunk = _thinned_move(z, pref, *_thinned_draws(rng.uniform((2, size)), c, delta))
+        draws = _thinned_draws(rng.uniform((2, size)), law.c, law.delta)
+        moved, shrunk = _thinned_move(z, pref, *draws)
         z = np.where(active, moved, z)
         pref = np.where(active, shrunk, pref)
         active = pref >= tol

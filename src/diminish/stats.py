@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,23 +39,17 @@ __all__ = [
 PROCESSES = ("interval", "cube", "simplex", "polygon")
 
 
-@dataclass(frozen=True)
-class ScaledSample:
-    """One scaled end-of-run statistic of one replica."""
+class ScaledSample(NamedTuple):
+    """One scaled end-of-run statistic of one replica (:func:`run_experiment` checks it)."""
 
     value: float
     n: int
     replica: int
-    process: str
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError("scaled sample must be finite")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Description of one experiment; fully determines its output (frozen, so it keys memos)."""
+    """One experiment, checked when built; it fixes the output and, frozen, keys memos."""
 
     process: str
     n: int
@@ -66,11 +61,9 @@ class RunConfig:
     k: int = 5
     out: str | None = None
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         if self.process not in PROCESSES:
-            raise ConfigurationError(
-                f"process must be one of {PROCESSES}, got {self.process!r}"
-            )
+            raise ConfigurationError(f"process must be one of {PROCESSES}, got {self.process!r}")
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if self.replicas < 1:
@@ -83,7 +76,6 @@ class RunConfig:
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
         if self.process == "polygon" and self.k < 5:
             raise ConfigurationError(f"k must be >= 5, got {self.k}")
-        return self
 
 
 @dataclass
@@ -193,7 +185,6 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
     cube ``2n (max_i m_i - 1)``; simplex ``((d+1) n)**(1/d) / rho (m - rho)``;
     polygon ``sqrt(n) (m - rho)`` for odd k and ``n (m - rho)`` for even k.
     """
-    cfg.validate()
     extras: dict = {}
     if cfg.process == "interval":
         law = DfForm(cfg.c, cfg.delta)
@@ -217,6 +208,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
         extras = {"excess": excess, "batch": batch}
     if float(np.min(values)) < -1e-9:
         raise DomainError("scaled height statistic came out negative")
-    values = np.maximum(values, 0.0)
-    samples = [ScaledSample(float(v), cfg.n, i, cfg.process) for i, v in enumerate(values)]
+    if not np.isfinite(values).all():
+        raise DomainError("scaled sample must be finite")
+    samples = [ScaledSample(v, cfg.n, i) for i, v in enumerate(np.maximum(values, 0.0).tolist())]
     return ExperimentResult(cfg, samples, extras)

@@ -7,8 +7,8 @@ is deterministic given the seed.  A check declares each criterion once,
 through :meth:`CheckResult.criterion`; the verdict, the report line, the
 failure note and the ``verify --json`` threshold all come from that declaration.
 
-Expensive simulations are memoized on their :class:`~diminish.stats.RunConfig`,
-which is frozen and so keys the memo itself; overlapping checks share runs.
+Expensive simulations are memoized by :func:`functools.lru_cache` on their frozen
+:class:`~diminish.stats.RunConfig`, which keys the memo itself; overlapping checks share runs.
 Replica ``r`` always draws stream ``(seed, r)``, so a run with R replicas
 equals the first R rows of a larger run with the same seed; pentagon-structure
 takes its replicas as the first rows of the shared pentagon run.
@@ -20,6 +20,7 @@ evidence for each.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import time
@@ -117,31 +118,26 @@ class CheckResult:
     def note(self) -> str | None:
         return "; ".join(self.notes) or None
 
-    def summary(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}"
-
     def report(self) -> str:
-        out = [self.summary()] + [f"    {line}" for line in self.lines]
+        out = [f"{'PASS' if self.passed else 'FAIL'}  {self.name}"]
+        out += [f"    {line}" for line in self.lines]
         if self.note:
             out.append(f"    note: {self.note}")
         return "\n".join(out)
 
 
-_CACHE: dict = {}
+@functools.lru_cache(maxsize=None)
+def _run(cfg: RunConfig):
+    return run_experiment(cfg)
 
 
 def _experiment(**kwargs):
-    cfg = RunConfig(**kwargs)
-    if cfg not in _CACHE:
-        _CACHE[cfg] = run_experiment(cfg)
-    return _CACHE[cfg]
+    return _run(RunConfig(**kwargs))
 
 
+@functools.lru_cache(maxsize=None)
 def _thinned(d, seed):
-    key = ("thinned", d, seed)
-    if key not in _CACHE:
-        _CACHE[key] = run_thinned_batch(d, SIMPLEX_REPLICAS, seed)
-    return _CACHE[key]
+    return run_thinned_batch(d, SIMPLEX_REPLICAS, seed)
 
 
 # Analytic range of every polygon area along a trajectory.
@@ -191,7 +187,8 @@ def check_interval_center(seed=DEFAULT_SEED) -> CheckResult:
     res = CheckResult("interval-center")
     tol = 0.01
     for i, (c, delta) in enumerate([(0.5, 1.0), (0.3, 2.0)]):
-        z = center_series_batch(RngStream(seed + 2, 0, (10 + i,)), c, delta, 1e-9, CENTER_SAMPLES)
+        rng = RngStream(seed + 2, 0, (10 + i,))
+        z = center_series_batch(rng, DfForm(c, delta), 1e-9, CENTER_SAMPLES)
         a, b = delta * (1.0 - c), delta * c
         ks = ks_stat(z + 0.5, cdf_callable(beta_law(a, b)))
         label = f"c={c}, delta={delta}: KS vs Beta({a:g}, {b:g}) shifted"
@@ -358,8 +355,8 @@ def check_pentagon_structure(seed=DEFAULT_SEED) -> CheckResult:
         float((counts == 1).mean()),
         ">=",
         0.99,
-        note="shrink events accrue like log n, so the single-survivor fraction grows "
-        "~20 percentage points per decade of n (DECISIONS.md §2)",
+        note="with the threshold fixed at 1e-3 the single-survivor fraction peaks near "
+        "0.44 at n = 10^5 and is 0 from n = 10^7 on (DECISIONS.md §2)",
     )
     min_height = float(batch.final_heights[sl].min())
     res.criterion("min_height", "final height min", min_height, ">=", 0.33688 - 1e-6)

@@ -12,7 +12,7 @@ import pytest
 from diminish.cli import emit_csv, main, parse_config
 from diminish.errors import ConfigurationError
 from diminish.stats import RunConfig, run_experiment
-from diminish import verification
+from diminish import cli, verification
 from diminish.verification import CheckResult
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -88,7 +88,7 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=f"^{key} must"):
             parse_config({"process": "interval", "n": 10, "replicas": 2, key: value})
         with pytest.raises(ConfigurationError, match=f"^{key} must"):
-            RunConfig(process="interval", n=10, replicas=2, seed=1, **{key: value}).validate()
+            RunConfig(process="interval", n=10, replicas=2, seed=1, **{key: value})
 
     def test_integral_float_is_accepted(self):
         cfg = parse_config(
@@ -403,10 +403,17 @@ class TestFileErrors:
             ["verify", "--check", "figure-ranges", "--json"],
             ["experiment", "--process", "interval", "--n", "10", "--replicas", "2", "--out"],
             ["simulate", "--process", "pentagon", "--n", "10", "--out"],
+            ["figure", "--which", "fig7", "--out"],
         ],
         ids=lambda argv: argv[0],
     )
-    def test_missing_directory(self, tmp_path, capsys, argv):
+    def test_missing_directory(self, tmp_path, monkeypatch, capsys, argv):
+        def started(*args, **kwargs):
+            raise AssertionError("the work started before the output file was opened")
+
+        for name in ("run_experiment", "interval_walk", "cube_walk", "simplex_walk", "polygon_walk"):
+            monkeypatch.setattr(cli, name, started)
+        monkeypatch.setattr(verification, "run_suite", started)
         dest = tmp_path / "missing" / "out"
         assert main([*argv, str(dest)]) == 1
         err = capsys.readouterr().err

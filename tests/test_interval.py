@@ -132,7 +132,7 @@ class TestThinnedStep:
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_degenerate_c_rejected(self, c):
         with pytest.raises(DomainError, match="c in"):
-            center_series_batch(RngStream(1), c, 1.0, 1e-9, 1)
+            center_series_batch(RngStream(1), DfForm(c, 1.0), 1e-9, 1)
 
     def test_excess_is_exact_product(self):
         xi, v = interval._thinned_draws(RngStream(3, 0).uniform((2, 30)), 0.3, 2.0)
@@ -161,21 +161,21 @@ def thinned_chain_center(draw, c, delta, tol):
 class TestCenterSeries:
     def test_telescoping_to_half(self, scripted):
         values = [0.0, 0.7] * 80
-        z = center_series_batch(scripted(values), 0.5, 1.0, 1e-6, 1)[0]
+        z = center_series_batch(scripted(values), UNIFORM, 1e-6, 1)[0]
         assert z == pytest.approx(0.5, abs=1e-6)
 
     def test_two_term_truncation(self, scripted):
-        z = center_series_batch(scripted([0.0, 0.5, 0.9, 0.5]), 0.5, 1.0, 0.2, 1)[0]
+        z = center_series_batch(scripted([0.0, 0.5, 0.9, 0.5]), UNIFORM, 0.2, 1)[0]
         assert z == pytest.approx(0.125, abs=1e-15)
 
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
-            center_series_batch(RngStream(1), 0.5, 1.0, 0.0, 1)
+            center_series_batch(RngStream(1), UNIFORM, 0.0, 1)
 
     @pytest.mark.parametrize("c,delta", [(0.5, 1.0), (0.3, 2.0), (0.8, 0.7)])
     def test_sample_is_thinned_chain_center(self, c, delta):
         for r in range(20):
-            z = center_series_batch(RngStream(12, r), c, delta, 1e-9, 1)[0]
+            z = center_series_batch(RngStream(12, r), DfForm(c, delta), 1e-9, 1)[0]
             rng = RngStream(12, r)
             assert z == thinned_chain_center(lambda: rng.uniform((2, 1)), c, delta, 1e-9)
 
@@ -190,24 +190,24 @@ class TestCenterSeries:
     def test_slots_draw_term_major(self, seed, c, delta, tol, size):
         # slot k runs the reference chain on column k of each (2, size) block
         blocks = RngStream(seed, 1).uniform((4096, 2, size))
-        z = center_series_batch(RngStream(seed, 1), c, delta, tol, size)
+        z = center_series_batch(RngStream(seed, 1), DfForm(c, delta), tol, size)
         for k in range(size):
             column = iter(blocks[:, :, k])
             assert z[k] == thinned_chain_center(lambda: next(column)[:, None], c, delta, tol), k
 
     def test_batch_sampler_matches_beta(self):
-        z = center_series_batch(RngStream(6, 0), 0.3, 2.0, 1e-9, 100_000)
+        z = center_series_batch(RngStream(6, 0), DfForm(0.3, 2.0), 1e-9, 100_000)
         assert ks_stat(z + 0.5, cdf_callable(beta_law(1.4, 0.6))) <= 0.01
 
     def test_output_range(self):
-        z = center_series_batch(RngStream(7, 0), 0.5, 1.0, 1e-9, 10_000)
+        z = center_series_batch(RngStream(7, 0), UNIFORM, 1e-9, 10_000)
         assert np.all(np.abs(z) <= 0.5 + 1e-12)
 
 
 class TestRepresentationConsistency:
     def test_full_centers_match_series_and_arcsine(self):
         _, centers = run_full_batch(UNIFORM, 1000, 10_000, seed=8)
-        series = center_series_batch(RngStream(9, 0), 0.5, 1.0, 1e-9, 10_000)
+        series = center_series_batch(RngStream(9, 0), UNIFORM, 1e-9, 10_000)
         assert ks_two_sample(centers, series) <= 0.02
         assert ks_stat(centers, cdf_callable(arcsine())) <= 0.02
         assert ks_stat(series, cdf_callable(arcsine())) <= 0.02
@@ -217,7 +217,7 @@ class TestRepresentationConsistency:
     )
     def test_series_rejects_bad_law(self, c, delta):
         with pytest.raises(DomainError):
-            center_series_batch(RngStream(11, 0), c, delta, 1e-9, 4)
+            center_series_batch(RngStream(11, 0), DfForm(c, delta), 1e-9, 4)
 
 
 def assert_rows_replay(law, n, replicas, seed, chunk):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from diminish.distributions import RngStream, cdf_callable, weibull
+from diminish import stats
 from diminish.errors import ConfigurationError, DomainError
 from diminish.stats import (
     RunConfig,
@@ -129,11 +130,13 @@ def band_distance(x) -> float:
 class TestRunConfig:
     def test_validation_messages_name_keys(self):
         with pytest.raises(ConfigurationError, match=r"c must lie in \[0, 1\]"):
-            RunConfig(process="interval", n=10, replicas=1, seed=0, c=1.5).validate()
-        with pytest.raises(ConfigurationError, match="process"):
-            RunConfig(process="disk", n=10, replicas=1, seed=0).validate()
+            RunConfig(process="interval", n=10, replicas=1, seed=0, c=1.5)
+        with pytest.raises(ConfigurationError, match="process must be one of"):
+            RunConfig(process="disk", n=1, replicas=1, seed=0)
         with pytest.raises(ConfigurationError, match="k must be >= 5"):
-            RunConfig(process="polygon", n=10, replicas=1, seed=0, k=4).validate()
+            RunConfig(process="polygon", n=10, replicas=1, seed=0, k=4)
+        with pytest.raises(ConfigurationError, match="replicas must be >= 1"):
+            dataclasses.replace(RunConfig(process="cube", n=10, replicas=1, seed=0), replicas=0)
 
 
 class TestRunExperiment:
@@ -148,9 +151,20 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert len(res.samples) == 5
         first = res.samples[0]
-        assert first.replica == 0 and first.n == 50 and first.process == "polygon"
+        assert first.replica == 0 and first.n == 50
         assert np.array_equal(res.values(), np.maximum(50**0.5 * res.extras["excess"], 0.0))
         assert res.values().min() >= 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_is_rejected(self, monkeypatch, bad):
+        def engine(law, n, replicas, seed):
+            radii = np.full(replicas, 0.75)
+            radii[1] = bad
+            return radii, np.zeros(replicas)
+
+        monkeypatch.setattr(stats, "run_full_batch", engine)
+        with pytest.raises(DomainError, match="scaled sample must be finite"):
+            run_experiment(RunConfig(process="interval", n=10, replicas=3, seed=0))
 
     def test_even_polygon_exponent(self):
         cfg = RunConfig(process="polygon", k=8, n=50, replicas=3, seed=56)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 from types import SimpleNamespace
 
@@ -31,7 +32,7 @@ def test_invariant_suite_requests_published_polygon_runs(monkeypatch):
         )
         return ExperimentResult(cfg, [], {"batch": batch})
 
-    monkeypatch.setattr(V, "_CACHE", {})
+    monkeypatch.setattr(V, "_run", functools.lru_cache(V._run.__wrapped__))  # an empty memo
     monkeypatch.setattr(V, "run_experiment", fake_experiment)
     # the scalar trajectories and thinned weights are not under test here
     monkeypatch.setattr(V, "_polygon_invariant_trajectories", lambda *args: {"nested": 0})
@@ -59,7 +60,7 @@ def test_run_config_is_frozen_and_keys_the_memo(monkeypatch):
         calls.append(cfg)
         return ExperimentResult(cfg, [], {})
 
-    monkeypatch.setattr(V, "_CACHE", {})
+    monkeypatch.setattr(V, "_run", functools.lru_cache(V._run.__wrapped__))  # an empty memo
     monkeypatch.setattr(V, "run_experiment", fake_experiment)
     with pytest.raises(dataclasses.FrozenInstanceError):
         RunConfig(process="interval", n=10, replicas=2, seed=1).n = 20
@@ -69,6 +70,7 @@ def test_run_config_is_frozen_and_keys_the_memo(monkeypatch):
     assert len(calls) == 1
     assert V._experiment(process="interval", n=10, replicas=2, seed=2) is not first
     assert len(calls) == 2
+    assert V._run.cache_info()[:2] == (1, 2)  # hits, misses
 
 
 def test_checks_take_only_their_seed():
