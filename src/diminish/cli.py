@@ -102,7 +102,8 @@ def parse_config(source, overrides: dict | None = None) -> RunConfig:
     for key in ("n", "replicas"):
         if key not in data:
             raise ConfigurationError(f"missing required key: {key!r}")
-    data.setdefault("seed", _default_seed())
+    if "seed" not in data:  # the environment is read only when no seed is given
+        data["seed"] = _default_seed()
     kwargs = {
         key: _coerce(_KINDS[key], value, f"config key {key!r}") if key in _KINDS else value
         for key, value in data.items()

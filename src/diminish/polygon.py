@@ -28,7 +28,8 @@ and its (C,) bool mask ``tightened`` marks the rebuilt columns.  The stored
 offsets stay raw.  One area-weighted fan sampler draws the points, three
 uniforms per step; :func:`_lifts` tests which points raise an offset and
 :func:`_raise` raises them, so scalar and batch trajectories agree bit for bit.
-Cap areas and reducedness are closed forms on the cycle; nothing here clips.
+Cap areas and reducedness are closed forms on the same cycle columns
+(:func:`_caps`), and a snapshot reads their column 0; nothing here clips.
 
 A state stays fixed between two changes, and late in a run almost every step
 misses every cap.  The batch engine therefore runs in windows: each replica
@@ -153,25 +154,22 @@ class PolygonState:
         return _cycles(self.offsets[:, None])
 
     @functools.cached_property
-    def _snapshot(self) -> PolygonSnapshot:
+    def _snapshot(self) -> PolygonSnapshot:  # column 0 of the cycle and of its caps
         g = self._cycle
         area = float(g.area[0])
         if not area > 0.0:
             raise StateCorruptionError("offset polygon degenerated to zero area")
-        boundary = np.column_stack([g.x[:, 0], g.y[:, 0]])
         heights = g.heights[:, 0]
-        dots = boundary @ self.directions.T
-        levels = dots.min(axis=0) + self.rho
-        region_areas, reduced = _cap_geometry(boundary, dots - levels, levels)
+        caps, reduced = _caps(g.x, g.y)
         return PolygonSnapshot(
             k=self.k,
-            boundary=boundary,
+            boundary=np.column_stack([g.x[:, 0], g.y[:, 0]]),
             heights=heights,
             max_height=float(heights.max()),
             area=area,
-            region_areas=region_areas,
-            change_area=float(region_areas.sum()),
-            reduced=reduced,
+            region_areas=caps[:, 0],
+            change_area=float(caps[:, 0].sum()),
+            reduced=bool(reduced[0]),
         )
 
 
@@ -216,17 +214,29 @@ class _Cycle(NamedTuple):
     tightened: np.ndarray  # (C,) bool: columns rebuilt from their true supports
 
 
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``<cand_i, q_j>`` of cycles ``x, y`` (k, C), as (direction j, candidate i, column)."""
+    k, c = x.shape
+    flat = np.empty((2, k * c))
+    flat[0] = x.reshape(-1)
+    flat[1] = y.reshape(-1)
+    return (_fan(k)[0] @ flat).reshape(k, k, c)
+
+
+def _pair_vertices(a: np.ndarray) -> np.ndarray:
+    """Crossings (P, 2, C) of lines ``<x, q_i> = a_i``, ``<x, q_j> = a_j``, (i, j) the side pairs."""
+    pairs, inv = _pair_inverses(len(a))
+    return inv[:, :, :1] * a[pairs[:, 0], None] + inv[:, :, 1:] * a[pairs[:, 1], None]
+
+
 def _cycle_kernel(o: np.ndarray) -> _Cycle:
     """Candidate cycles of columns ``o`` (k, C), valid where ``slack >= -eps``; none tightened."""
     k, c = o.shape
-    dirs, inv, nxt = _fan(k)
+    _, inv, nxt = _fan(k)
     o_next = o[nxt]
     cand_x = inv[:, 0, 0, None] * o + inv[:, 0, 1, None] * o_next
     cand_y = inv[:, 1, 0, None] * o + inv[:, 1, 1, None] * o_next
-    flat = np.empty((2, k * c))
-    flat[0] = cand_x.reshape(-1)
-    flat[1] = cand_y.reshape(-1)
-    dots = (dirs @ flat).reshape(k, k, c)  # (direction j, candidate i, replica)
+    dots = _dots(cand_x, cand_y)
     mind = dots.min(axis=1)
     slack = (mind - o).min(axis=0)
     heights = dots.max(axis=1) - mind
@@ -246,10 +256,8 @@ def _true_supports(o: np.ndarray) -> np.ndarray:
     makes its candidate cycle valid.  The arithmetic is elementwise, so a
     column's result does not depend on the block width.
     """
-    k = len(o)
-    dirs = np.asarray(reference_directions(k))
-    pairs, inv = _pair_inverses(k)
-    v = inv[:, :, :1] * o[pairs[:, 0], None] + inv[:, :, 1:] * o[pairs[:, 1], None]  # (P, 2, C)
+    dirs = _fan(len(o))[0]
+    v = _pair_vertices(o)
     dots = dirs[:, 0, None, None] * v[:, 0] + dirs[:, 1, None, None] * v[:, 1]  # (side, pair, C)
     feasible = (dots - o[:, None, :]).min(axis=0) >= -_EPS
     if not feasible.any(axis=0).all():
@@ -324,36 +332,41 @@ def _raise(o: np.ndarray, px, py) -> np.ndarray:
     return np.maximum(o, lift - math.cos(math.pi / len(o)))
 
 
-def _cap_geometry(b: np.ndarray, d: np.ndarray, levels: np.ndarray):
-    """Cap areas and reducedness of the boundary cycle ``b`` (k, 2), in closed form.
+def _caps(x: np.ndarray, y: np.ndarray):
+    """Cap areas (k, C) and reducedness (C,) of cycles ``x, y`` (k, C), in closed form.
 
-    ``d[j, i]`` is the height of ``b_j`` above cap i's cut line ``<x, q_i> =
-    levels_i``, so edge j (``b_j`` to ``b_{j+1}``) lies in cap i for ``t`` in
-    ``[t0, t1]``.  With the origin at a point ``z`` on every chord of a region,
-    the chords add nothing to the shoelace sum and the area is ``1/2 sum_j
-    (t1 - t0) cross(b_j - z, e_j)``: ``z = levels_i q_i`` for cap i, the cut
-    lines' crossing for the overlap of caps i and j.  Antiparallel caps never
-    overlap, since a width never exceeds its starting value ``2 rho``.
+    Cap i lies above the cut line ``<x, q_i> = l_i``, ``l_i = min_j <b_j,
+    q_i> + rho``.  ``d[j, i]`` is the height of vertex ``b_j`` above it, so
+    edge j (``b_j`` to ``b_{j+1}``) lies in cap i for ``t`` in ``[t0, t1]``.
+    With the origin at a point ``z`` on every chord of a region, the chords
+    add nothing to the shoelace sum and the area is ``1/2 sum_j (t1 - t0)
+    cross(b_j - z, e_j)``: ``z = l_i q_i`` for cap i, the cut lines' crossing
+    for the overlap of caps i and j.  Sums run over the leading vertex axis,
+    in index order at every block width.  Antiparallel caps never overlap,
+    since a width never exceeds its starting value ``2 rho``.
     """
-    nxt = _fan(len(b))[2]
-    e = b[nxt] - b
-    bxe = b[:, 0] * e[:, 1] - b[:, 1] * e[:, 0]
+    k = len(x)
+    dirs, _, nxt = _fan(k)
+    dots = _dots(x, y)
+    levels = dots.min(axis=1) + math.cos(math.pi / k)  # (cap i, C)
+    d = dots.transpose(1, 0, 2) - levels  # (vertex j, cap i, C)
+    ex, ey = x[nxt] - x, y[nxt] - y
+    bxe = (x * ey - y * ex)[:, None]
 
-    def area(t0, t1, z):
-        zxe = z[:, 0] * e[:, 1, None] - z[:, 1] * e[:, 0, None]
-        return 0.5 * (np.maximum(t1 - t0, 0.0) * (bxe[:, None] - zxe)).sum(axis=0)
+    def area(t0, t1, zx, zy):
+        cross = bxe - (zx * ey[:, None] - zy * ex[:, None])
+        return 0.5 * (np.maximum(t1 - t0, 0.0) * cross).sum(axis=0)
 
     d_next = d[nxt]
     inside, inside_next = d >= 0.0, d_next >= 0.0
     t = np.divide(d, d - d_next, out=np.zeros_like(d), where=inside != inside_next)
     t0, t1 = np.where(inside, 0.0, t), np.where(inside_next, 1.0, t)
-    areas = np.maximum(area(t0, t1, levels[:, None] * reference_directions(len(b))), 0.0)
-    pairs, inv = _pair_inverses(len(b))
-    i, j = pairs.T
-    crossing = np.einsum("pab,pb->pa", inv, levels[pairs])
-    overlap = area(np.maximum(t0[:, i], t0[:, j]), np.minimum(t1[:, i], t1[:, j]), crossing)
+    areas = np.maximum(area(t0, t1, levels * dirs[:, :1], levels * dirs[:, 1:]), 0.0)
+    i, j = _pair_inverses(k)[0].T
+    z = _pair_vertices(levels)
+    overlap = area(np.maximum(t0[:, i], t0[:, j]), np.minimum(t1[:, i], t1[:, j]), z[:, 0], z[:, 1])
     positive = areas > _EPS
-    return areas, not (positive[i] & positive[j] & (overlap > _EPS)).any()
+    return areas, ~(positive[i] & positive[j] & (overlap > _EPS)).any(axis=0)
 
 
 def snapshot(s: PolygonState) -> PolygonSnapshot:

@@ -64,6 +64,10 @@ class RunConfig:
     def __post_init__(self):
         if self.process not in PROCESSES:
             raise ConfigurationError(f"process must be one of {PROCESSES}, got {self.process!r}")
+        for name in ("n", "replicas", "d", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if self.replicas < 1:

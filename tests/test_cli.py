@@ -347,6 +347,19 @@ class TestCommands:
         assert main(["simulate", "--process", "interval", "--n", "5", "--out", str(out)]) == 1
         assert "DIMINISH_SEED must be an integer" in capsys.readouterr().err
 
+    def test_bad_env_seed_is_not_read_when_a_seed_is_given(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("DIMINISH_SEED", "abc")
+        config = tmp_path / "run.json"
+        config.write_text('{"process": "interval", "n": 10, "replicas": 2, "seed": 5}')
+        runs = {
+            "flag": ["experiment", "--process", "interval", "--n", "10", "--replicas", "2", "--seed", "5"],
+            "config": ["experiment", "--config", str(config)],
+            "figure": ["figure", "--which", "fig7", "--seed", "5"],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0, name
+        assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "config.csv").read_bytes()
+
     def test_infinite_delta_in_config_file_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text('{"process": "interval", "n": 10, "replicas": 2, "delta": Infinity}')

@@ -18,10 +18,11 @@ import pytest
 from diminish import interval, polygon, simplex
 from diminish.cli import main
 from diminish.cube import cube_run_batch
-from diminish.distributions import DfForm
+from diminish.distributions import DfForm, RngStream
 from diminish.interval import run_full_batch
 from diminish.polygon import run_polygon_batch
 from diminish.simplex import run_simplex_batch
+from diminish.verification import DEFAULT_SEED
 
 REPLICAS, CHUNK, SEED = 10, 4, 5
 
@@ -158,4 +159,28 @@ def test_sample_csv_matches_pinned_hash(tmp_path, name):
     assert got == EXPERIMENT_PINNED[name], (
         f"{EXPERIMENT[name][0]} {name}: CSV bytes moved from the pinned samples on numpy "
         f"{np.__version__} (pinned with numpy 2.4.6): got {got}"
+    )
+
+
+# every snapshot field of each state that the invariant suite walks
+SNAPSHOT_WALKS = ((5, 20, 400), (7, 12, 400), (8, 8, 300))
+SNAPSHOT_PINNED = "5d76bf3b0061ad6147d5d982cf9478cdc51686ccd1292aa056354cdaa16c6e82"
+
+
+def _walked_states():
+    for k, replicas, steps in SNAPSHOT_WALKS:
+        for r in range(replicas):
+            start = polygon.polygon_new(k)
+            yield start
+            yield from polygon._walk(start, steps, RngStream(DEFAULT_SEED + 50, r, (k,)))[1]
+
+
+def test_snapshots_match_pinned_hash():
+    states = list(_walked_states())
+    # the walks reach rebuilt (degenerate) cycles too
+    assert (len(states), sum(s._cycle.tightened[0] for s in states)) == (725, 10)
+    got = _digest(a for s in states for a in _fields(polygon.snapshot(s)))
+    assert got == SNAPSHOT_PINNED, (
+        f"snapshot fields moved from the pinned walks on numpy {np.__version__} "
+        f"(pinned with numpy 2.4.6): got {got}"
     )

@@ -12,6 +12,7 @@ from diminish.oracle import _clip_edge, clip_convex_by_convex, match_point_sets,
 from diminish.polygon import (
     PolygonBatchResult,
     PolygonState,
+    _caps,
     _cycles,
     _fan_points,
     _lifts,
@@ -232,6 +233,20 @@ class TestSnapshot:
                     degenerate[k] += state._cycle.tightened[0]
         # the closed forms are exercised on rebuilt (degenerate) cycles too
         assert degenerate[8] + degenerate[9] > 0, degenerate
+
+    @pytest.mark.parametrize("k", range(5, 10))
+    def test_block_caps_equal_one_column_calls(self, k):
+        start = polygon_new(k)
+        _, walked = polygon._walk(start, 400, RngStream(60, 0, (k,)))
+        # k >= 6 adds a state with a redundant side, so the block has rebuilt columns
+        states = [start, *walked, *([redundant_middle_side(k)] if k > 5 else [])]
+        g = _cycles(np.column_stack([s.offsets for s in states]))
+        assert g.tightened.any() == (k > 5)
+        areas, reduced = _caps(g.x, g.y)
+        for c, s in enumerate(states):
+            snap = snapshot(s)
+            assert np.array_equal(areas[:, c], snap.region_areas), (k, c)
+            assert reduced[c] == snap.reduced, (k, c)
 
     def test_empty_offset_polygon_raises(self):
         for k in (5, 8):

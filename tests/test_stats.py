@@ -138,6 +138,17 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="replicas must be >= 1"):
             dataclasses.replace(RunConfig(process="cube", n=10, replicas=1, seed=0), replicas=0)
 
+    @pytest.mark.parametrize(
+        "key,value", [("n", 10.5), ("replicas", 2.0), ("d", 2.5), ("d", True), ("k", 5.5)]
+    )
+    def test_sizes_must_be_integers(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be an integer, got {value!r}"):
+            RunConfig(**{"process": "simplex", "n": 10, "replicas": 2, "seed": 1, key: value})
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        cfg = RunConfig(process="polygon", n=np.int64(10), replicas=np.int32(2), seed=1, k=np.int64(7))
+        assert (cfg.n, cfg.replicas, cfg.k) == (10, 2, 7)
+
 
 class TestRunExperiment:
     def test_deterministic(self):
