@@ -26,12 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DfForm, RngStream
+from .distributions import DfForm, RngStream, _change_walk
 from .cube import UNIFORM_LAW, _walk as cube_walk
 from .errors import ConfigurationError, DiminishError
-from .interval import _walk as interval_walk, interval_new
-from .polygon import _walk as polygon_walk, polygon_new, snapshot
-from .simplex import _walk as simplex_walk, simplex_new
+from .interval import interval_new
+from .polygon import polygon_new, snapshot
+from .simplex import simplex_new
 from .stats import RunConfig, run_experiment
 from . import verification
 
@@ -185,7 +185,7 @@ def _trajectory(cfg: RunConfig):
     if cfg.process == "interval":
         header = ["step", "center", "radius"]
         start = interval_new(DfForm(cfg.c, cfg.delta))
-        steps, states = interval_walk(start, cfg.n, rng)
+        steps, states = _change_walk(start, cfg.n, rng)
         fields = [(s.center, s.radius) for s in (start, *states)]
     elif cfg.process == "cube":
         header = (
@@ -199,13 +199,13 @@ def _trajectory(cfg: RunConfig):
     elif cfg.process == "simplex":
         header = ["step", "height"] + [f"center_{a}" for a in range(cfg.d)]
         start = simplex_new(cfg.d)
-        steps, states = simplex_walk(start, cfg.n, rng)
+        steps, states = _change_walk(start, cfg.n, rng)
         fields = [(s.height, *s.center.tolist()) for s in (start, *states)]
     else:
         header = ["step", "max_height", "area", "reduced"]
         header += [f"height_{i + 1}" for i in range(cfg.k)]
         start = polygon_new(cfg.k)
-        steps, states = polygon_walk(start, cfg.n, rng)
+        steps, states = _change_walk(start, cfg.n, rng)
         snaps = [snapshot(s) for s in (start, *states)]
         fields = [(p.max_height, p.area, int(p.reduced), *p.heights.tolist()) for p in snaps]
     return header, steps, fields
@@ -277,6 +277,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
+    if seed < 0:  # before the open: a bad seed leaves no file behind
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     with _output(args.json) if args.json else nullcontext() as write:
         results = verification.run_suite(args.check or None, seed)
         for res in results:

@@ -7,20 +7,21 @@ of replica stream ``rng`` always draws from ``rng.substream(a)``, which makes
 axis assignment a pure relabeling of sub-streams.
 
 A cube trajectory is the union of its axes' changes: :func:`_walk` merges
-the change walks of the axes (:func:`~diminish.interval._walk`).  The batch
-runner is one :func:`~diminish.interval.run_full_batch` call per axis on
-paths ``(a,)``, so it inherits the screened window engine and its replay
-contract: batch row ``r`` equals the last state of :func:`_walk` on
-``RngStream(seed, r)`` bit for bit.
+the change walks of the axes' interval states
+(:func:`~diminish.distributions._change_walk`).  The batch runner is one
+:func:`~diminish.interval.run_full_batch` call per axis on paths ``(a,)``,
+so it inherits the screened window engine and its replay contract: batch
+row ``r`` equals the last state of :func:`_walk` on ``RngStream(seed, r)``
+bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distributions import DfForm, RngStream
+from .distributions import DfForm, RngStream, _change_walk
 from .errors import DomainError
-from .interval import _walk as interval_walk, interval_new, run_full_batch
+from .interval import interval_new, run_full_batch
 
 __all__ = ["UNIFORM_LAW", "cube_run_batch"]
 
@@ -36,7 +37,7 @@ def _walk(d: int, n: int, rng: RngStream):
     if d < 1 or n < 1:
         raise DomainError("d and n must be >= 1")
     start = interval_new(UNIFORM_LAW)
-    walks = [interval_walk(start, n, rng.substream(a)) for a in range(d)]
+    walks = [_change_walk(start, n, rng.substream(a)) for a in range(d)]
     axes, steps, states = [start] * d, [], []
     for t, a, s in sorted((t, a, s) for a, w in enumerate(walks) for t, s in zip(*w)):
         axes[a] = s

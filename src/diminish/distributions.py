@@ -371,25 +371,27 @@ def window_rounds(
     return _rounds(replica_blocks(seed, replicas, n, draws, chunk, path))
 
 
-def _change_walk(s, n: int, rng: RngStream, draws: int, hits, step):
+def _change_walk(s, n: int, rng: RngStream):
     """The changes of ``n`` steps of a scalar chain from ``s`` on ``rng``: ``(steps, states)``.
 
     ``states[i]`` is the state from step ``steps[i]`` on.  The stream is a
     one-row chunk of :func:`window_rounds`, so the walk screens its steps
-    with the engines' window rule and :meth:`Window.advance`:
-    ``hits(s, u)`` marks the window steps that may change ``s`` (``u`` holds
-    their draws, shape ``(1, W, draws)``), and only the first of them goes
-    through ``step(s, u)``, the scalar step on one step's draws, which
-    returns ``s`` itself when it keeps it.  The walk draws exactly
-    ``n * draws`` uniforms from ``rng`` in step order, which leaves the
-    stream where ``n`` scalar steps leave it.
+    with the engines' window rule and :meth:`Window.advance`.  The state
+    brings its kernels: ``s._draws`` uniforms per step, ``s._hits(u)`` marks
+    the window steps that may change ``s`` (``u`` holds their draws, shape
+    ``(1, W, s._draws)``), and only the first of them goes through
+    ``s._step(u)``, the scalar step on one step's draws, which returns ``s``
+    itself when it keeps it.  The walk draws exactly ``n * s._draws``
+    uniforms from ``rng`` in step order, which leaves the stream where ``n``
+    scalar steps leave it.
     """
     steps, states, t = [], [], 0
+    draws = s._draws
     blocks = _stream_blocks([rng], n, draws, *_block_buffer(1, n, draws))
     for w in _rounds([(0, 1, blocks)]):
-        rows, at, kept = w.advance(hits(s, w.draws))
+        rows, at, kept = w.advance(s._hits(w.draws))
         t += int(kept[0]) + rows.size
-        if rows.size and (new := step(s, w.draws[0, at[0]])) is not s:
+        if rows.size and (new := s._step(w.draws[0, at[0]])) is not s:
             s = new
             steps.append(t)
             states.append(s)

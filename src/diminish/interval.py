@@ -18,7 +18,9 @@ interval exactly when its quantile lies in ``[1 - 1/(2r), 1/(2r)]``, which
 is a band of raw uniforms, so each replica screens a window of uniforms
 against its band and jumps to the first one outside it; only that one goes
 through the quantile and the exact update (see :func:`run_full_batch`);
-:func:`~diminish.distributions.window_rounds` chunks the replicas.
+:func:`~diminish.distributions.window_rounds` chunks the replicas.  A state
+screens and steps itself on its own draws in the same way (``_hits``,
+``_step``), and :func:`~diminish.distributions._change_walk` walks it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DfForm, RngStream, _change_walk, df_form_ppf, window_rounds
+from .distributions import DfForm, RngStream, df_form_ppf, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -51,11 +53,22 @@ class IntervalState:
     radius: float
     law: DfForm
 
+    _draws = 1  # uniforms per step
+
     def __post_init__(self):
         if not (0.5 - _EPS <= self.radius <= 1.0 + _EPS):
             raise DomainError(f"radius must lie in [1/2, 1], got {self.radius}")
         if self.center - self.radius < -1.0 - 1e-9 or self.center + self.radius > 1.0 + 1e-9:
             raise DomainError("interval must be contained in [-1, 1]")
+
+    def _hits(self, u):
+        """Window steps whose uniform ``u[..., 0]`` lies outside the :func:`_keep_band`."""
+        lo, hi = _keep_band(self.radius, self.law)
+        return (u[..., 0] <= lo) | (u[..., 0] >= hi)
+
+    def _step(self, u):
+        """The step on the uniform ``u[0]``: :func:`df_form_ppf`, then :func:`apply_full_step`."""
+        return apply_full_step(self, float(df_form_ppf(u[0], self.law)))
 
 
 def _check_thinned_law(c: float, tol: float) -> None:
@@ -118,7 +131,7 @@ def apply_full_step(s: IntervalState, x: float) -> IntervalState:
 
 
 def step_full(s: IntervalState, rng: RngStream) -> IntervalState:
-    return apply_full_step(s, float(df_form_ppf(rng.uniform(), s.law)))
+    return s._step(rng.uniform(s._draws))
 
 
 _MAX_TERMS = 100_000
@@ -214,22 +227,3 @@ def run_full_batch(
         lo[cc], hi[cc] = _keep_band(r[cc], law)
     return r, z
 
-
-def _walk(s: IntervalState, n: int, rng: RngStream):
-    """The changes of ``n`` :func:`step_full` steps from ``s`` on ``rng``: ``(steps, states)``.
-
-    A one-row :func:`run_full_batch` (see
-    :func:`~diminish.distributions._change_walk`): a uniform strictly inside
-    the :func:`_keep_band` keeps the interval, and only the others go
-    through :func:`df_form_ppf` and :func:`apply_full_step`, so every state
-    and every check is the scalar step's.
-    """
-
-    def hits(s, u):
-        lo, hi = _keep_band(s.radius, s.law)
-        return (u[..., 0] <= lo) | (u[..., 0] >= hi)
-
-    def step(s, u):
-        return apply_full_step(s, float(df_form_ppf(u[0], s.law)))
-
-    return _change_walk(s, n, rng, 1, hits, step)

@@ -37,7 +37,9 @@ draws a window of steps from its current geometry in one vector call and
 jumps to the first step that raises an offset, with the same strict test the
 scalar step applies.  Only replicas that changed recompute their geometry,
 and an unchanged step adds nothing new to any accumulator.
-:func:`~diminish.distributions.window_rounds` chunks the replicas.
+:func:`~diminish.distributions.window_rounds` chunks the replicas.  A state
+screens and steps itself on its own draws in the same way (``_hits``,
+``_step``), and :func:`~diminish.distributions._change_walk` walks it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import RngStream, _change_walk, window_rounds
+from .distributions import RngStream, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -148,6 +150,17 @@ class PolygonState:
     @property
     def directions(self) -> np.ndarray:
         return reference_directions(self.k)
+
+    _draws = 3  # uniforms per step
+
+    def _hits(self, u: np.ndarray) -> np.ndarray:
+        """Window steps whose points raise an offset (:func:`_lifts`); ``u`` is (1, W, 3)."""
+        return _lifts(self.offsets[:, None], *_state_points(self, u.transpose(2, 0, 1)))
+
+    def _step(self, u: np.ndarray) -> PolygonState:
+        """The step on the three uniforms ``u``: :func:`apply_polygon_point` at their point."""
+        px, py = _state_points(self, u.reshape(3, 1, 1))
+        return apply_polygon_point(self, (px[0, 0], py[0, 0]))
 
     @functools.cached_property
     def _cycle(self) -> _Cycle:  # the state's geometry as a one-column block
@@ -400,28 +413,7 @@ def apply_polygon_point(s: PolygonState, p) -> PolygonState:
 
 def polygon_step(s: PolygonState, rng: RngStream) -> PolygonState:
     """One process step; the state is unchanged when the point misses all caps."""
-    return apply_polygon_point(s, sample_point(s, rng))
-
-
-def _walk(s: PolygonState, n: int, rng: RngStream):
-    """The changes of ``n`` :func:`polygon_step` steps from ``s`` on ``rng``: ``(steps, states)``.
-
-    A one-row :func:`run_polygon_batch` (see
-    :func:`~diminish.distributions._change_walk`): each round draws its
-    window of points with :func:`_fan_points` and screens them with the
-    engine's :func:`_lifts`; only a point that passes it goes through
-    :func:`apply_polygon_point`.  A point does not depend on the shape of the
-    call that computes it, so every state and every check is the scalar step's.
-    """
-
-    def hits(s, u):
-        return _lifts(s.offsets[:, None], *_state_points(s, u.transpose(2, 0, 1)))
-
-    def step(s, u):
-        px, py = _state_points(s, u.reshape(3, 1, 1))
-        return apply_polygon_point(s, (px[0, 0], py[0, 0]))
-
-    return _change_walk(s, n, rng, 3, hits, step)
+    return s._step(rng.uniform(s._draws))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ every other one obeys ``w >= u``, and ``eta = 1e-12`` covers the rounding.
 Each replica screens a window of steps on that test and jumps to the first
 one it does not pass; only that one goes through the scalar step's kernels
 on the same draws (see :func:`run_simplex_batch`);
-:func:`~diminish.distributions.window_rounds` chunks the replicas.
+:func:`~diminish.distributions.window_rounds` chunks the replicas.  A state
+screens and steps itself on its own draws in the same way (``_hits``,
+``_step``), and :func:`~diminish.distributions._change_walk` walks it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RngStream, _change_walk, replica_blocks, window_rounds
+from .distributions import RngStream, replica_blocks, window_rounds
 from .errors import DomainError, StateCorruptionError
 
 __all__ = [
@@ -116,6 +118,23 @@ class SimplexState:
         """Current vertex positions, rows aligned with the reference vertices."""
         return self.scale * vertex_matrix(self.d) + self.center
 
+    @property
+    def _draws(self) -> int:  # uniforms per step
+        return self.d + 1
+
+    def _hits(self, u: np.ndarray) -> np.ndarray:
+        """Window steps that fail the :func:`run_simplex_batch` screen."""
+        return _screen_hits(u, _screen_scale(self.offsets[None], self.rho))
+
+    def _step(self, u: np.ndarray) -> SimplexState:
+        """The step on the d + 1 uniforms ``u``; the state itself when no offset moves.
+
+        The state goes through the batch kernels as a single row, so batch rows
+        replay it exactly.
+        """
+        o = offsets_after_point(self.offsets[None], _uniform_weights(u[None]), self.rho)[0]
+        return self if np.array_equal(o, self.offsets) else SimplexState(self.d, o)
+
 
 def simplex_new(d: int) -> SimplexState:
     """Initial body: the (2/(d+1))-homothet of K, height ``2 rho``."""
@@ -149,23 +168,13 @@ def _uniform_weights(u: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _apply_draws(s: SimplexState, u: np.ndarray) -> SimplexState:
-    """``s`` after the step on the d + 1 uniforms ``u``; ``s`` itself when no offset moves.
-
-    The state goes through the batch kernels as a single row, so batch rows
-    replay it exactly.
-    """
-    o = offsets_after_point(s.offsets[None], _uniform_weights(u[None]), s.rho)[0]
-    return s if np.array_equal(o, s.offsets) else SimplexState(s.d, o)
-
-
 def simplex_full_step(s: SimplexState, rng: RngStream) -> SimplexState:
     """Choose a uniform point in the current body and intersect.
 
     Uniformity via symmetric Dirichlet(1, ..., 1) weights over the current
     vertices (normalized exponentials).
     """
-    return _apply_draws(s, rng.uniform(s.d + 1))
+    return s._step(rng.uniform(s._draws))
 
 
 def change_probability(s: SimplexState) -> float:
@@ -308,21 +317,6 @@ def run_simplex_batch(d: int, n: int, replicas: int, seed: int):
             offsets[cc] = offsets_after_point(offsets[cc], _uniform_weights(w.draws[rows, at]), rho)
             scale[cc] = _screen_scale(offsets[cc], rho)
     return offsets.sum(axis=1), -(d / (d + 1)) * (offsets @ e)
-
-
-def _walk(s: SimplexState, n: int, rng: RngStream):
-    """The changes of ``n`` :func:`simplex_full_step` steps from ``s`` on ``rng``: ``(steps, states)``.
-
-    A one-row :func:`run_simplex_batch` (see
-    :func:`~diminish.distributions._change_walk`): only a step that fails
-    the screen goes through :func:`_apply_draws`, the scalar step's kernel,
-    so every state and every check is the scalar step's.
-    """
-
-    def hits(s, u):
-        return _screen_hits(u, _screen_scale(s.offsets[None], s.rho))
-
-    return _change_walk(s, n, rng, s.d + 1, hits, _apply_draws)
 
 
 def run_thinned_batch(d: int, replicas: int, seed: int):

@@ -11,6 +11,7 @@ independent of chunking or scheduling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,14 +65,20 @@ class RunConfig:
     def __post_init__(self):
         if self.process not in PROCESSES:
             raise ConfigurationError(f"process must be one of {PROCESSES}, got {self.process!r}")
-        for name in ("n", "replicas", "d", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for names, kind, what in (
+            (("n", "replicas", "seed", "d", "k"), numbers.Integral, "an integer"),
+            (("c", "delta"), numbers.Real, "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigurationError(f"{name} must be {what}, got {value!r}")
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if self.replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {self.replicas}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.c <= 1.0:
             raise ConfigurationError(f"c must lie in [0, 1], got {self.c}")
         if not 0.0 < self.delta < math.inf:

@@ -31,6 +31,7 @@ import numpy as np
 from .distributions import (
     DfForm,
     RngStream,
+    _change_walk,
     arcsine,
     beta_law,
     cdf_callable,
@@ -39,7 +40,7 @@ from .distributions import (
     weibull,
 )
 from .errors import ConfigurationError
-from .interval import _walk as interval_walk, center_series_batch, interval_new
+from .interval import center_series_batch, interval_new
 from .oracle import clip_convex_by_convex, facet_halfspaces, match_point_sets, shoelace_area
 from .oracle import simplex_intersection_oracle
 from .polygon import (
@@ -47,7 +48,6 @@ from .polygon import (
     bound_constants,
     chebyshev_center,
     polygon_new,
-    _walk as polygon_walk,
     reference_vertices,
     sample_point,
     snapshot,
@@ -484,11 +484,11 @@ def check_rate_discrimination(seed=DEFAULT_SEED) -> CheckResult:
 def _polygon_invariant_trajectories(k, replicas, steps, seed):
     """Violation counts per invariant along walked trajectories, counted per step.
 
-    Each trajectory is read from :func:`~diminish.polygon._walk`, so the
-    snapshot and inscribed circle are computed once per distinct state.  A
-    change is checked once, at its step; a state's own invariants count once
-    for every step the state lasts, so the counts are those of checking the
-    state after every step.
+    Each trajectory is read from :func:`~diminish.distributions._change_walk`,
+    so the snapshot and inscribed circle are computed once per distinct
+    state.  A change is checked once, at its step; a state's own invariants
+    count once for every step the state lasts, so the counts are those of
+    checking the state after every step.
     """
     rho = math.cos(math.pi / k)
     bc = bound_constants(k)
@@ -505,7 +505,7 @@ def _polygon_invariant_trajectories(k, replicas, steps, seed):
     }
     for rep in range(replicas):
         start = polygon_new(k)
-        changes, states = polygon_walk(start, steps, RngStream(seed, rep, (k,)))
+        changes, states = _change_walk(start, steps, RngStream(seed, rep, (k,)))
         # the steps of 1..steps that the start state and each changed state last
         dwells = np.diff([1, *changes, steps + 1]).tolist()
         reduced_seen = False
@@ -557,7 +557,7 @@ def check_invariants(seed=DEFAULT_SEED) -> CheckResult:
     bad = 0
     for rep in range(100):
         start = interval_new(DfForm(0.5, 1.0))
-        _, states = interval_walk(start, 1000, RngStream(seed + 51, rep))
+        _, states = _change_walk(start, 1000, RngStream(seed + 51, rep))
         for prev, s in zip([start, *states], states):
             if (
                 s.radius > prev.radius + 1e-12
@@ -626,5 +626,6 @@ def run_check(name: str, seed: int = DEFAULT_SEED, **kwargs) -> CheckResult:
 
 
 def run_suite(names=None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    names = list(ALL_CHECKS) if names is None else list(names)
+    """Run the named checks (default: all), each once, in the order first named."""
+    names = list(ALL_CHECKS) if names is None else list(dict.fromkeys(names))
     return [run_check(name, seed=seed) for name in names]

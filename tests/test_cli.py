@@ -255,6 +255,19 @@ class TestCommands:
         assert payload["cube"]["passed"] is False
         assert payload["figure-ranges"]["passed"] is True
 
+    def test_repeated_check_runs_once(self, monkeypatch, tmp_path, capsys):
+        ran = []
+        for name in ("figure-ranges", "cube"):
+            monkeypatch.setitem(
+                verification.ALL_CHECKS, name, lambda seed, name=name: ran.append(name) or CheckResult(name)
+            )
+        json_out = tmp_path / "report.json"
+        checks = ["--check", "cube", "--check", "figure-ranges", "--check", "cube"]
+        assert main(["verify", *checks, "--json", str(json_out)]) == 0
+        assert ran == ["cube", "figure-ranges"]
+        assert capsys.readouterr().out.splitlines()[-1] == "all 2 checks passed"
+        assert list(json.loads(json_out.read_text())) == ran
+
     def test_env_seed_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("DIMINISH_SEED", "123")
         out1 = tmp_path / "one.csv"
@@ -424,7 +437,7 @@ class TestFileErrors:
         def started(*args, **kwargs):
             raise AssertionError("the work started before the output file was opened")
 
-        for name in ("run_experiment", "interval_walk", "cube_walk", "simplex_walk", "polygon_walk"):
+        for name in ("run_experiment", "_change_walk", "cube_walk"):
             monkeypatch.setattr(cli, name, started)
         monkeypatch.setattr(verification, "run_suite", started)
         dest = tmp_path / "missing" / "out"
@@ -432,6 +445,25 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()] and "Traceback" not in err
         assert err.startswith(f"error: failed writing {dest} after 0 rows: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--process", "interval", "--n", "10", "--seed", "-3", "--out"],
+            ["experiment", "--process", "cube", "--n", "10", "--replicas", "2", "--seed", "-3", "--out"],
+            ["figure", "--which", "fig7", "--seed", "-3", "--out"],
+            ["verify", "--check", "interval-rate", "--seed", "-3", "--json"],
+            # this check adds 20 to its seed, so no stream of it rejects -3
+            ["verify", "--check", "geometry-oracle", "--seed", "-3", "--json"],
+            ["verify", "--check", "geometry-oracle", "--json"],  # the seed of $DIMINISH_SEED
+        ],
+        ids=["simulate", "experiment", "figure", "verify", "verify-oracle", "verify-env"],
+    )
+    def test_negative_seed_leaves_no_file(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("DIMINISH_SEED", "-3")
+        assert main([*argv, str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_utf8_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

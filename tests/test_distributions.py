@@ -293,10 +293,20 @@ class TestBlockSizing:
         # 7-step blocks: the walk's stream is dropped after its last fill, not
         # the caller's, which stands where 50 steps of one draw leave it
         monkeypatch.setattr(distributions, "_BLOCK_BYTES", 7 * 8)
+
+        class Changes(int):
+            """A one-draw state that counts its changes; a draw below 0.2 changes it."""
+
+            _draws = 1
+
+            def _hits(self, u):
+                return u[..., 0] < 0.2
+
+            def _step(self, u):
+                return Changes(self + 1)
+
         rng = RngStream(9, 2)
-        steps, states = distributions._change_walk(
-            0, 50, rng, 1, lambda s, u: u[..., 0] < 0.2, lambda s, u: s + 1
-        )
+        steps, states = distributions._change_walk(Changes(0), 50, rng)
         ref = RngStream(9, 2).uniform(51)
         assert steps == list(np.flatnonzero(ref[:50] < 0.2) + 1)
         assert states == list(range(1, len(steps) + 1))

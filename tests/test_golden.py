@@ -18,7 +18,7 @@ import pytest
 from diminish import interval, polygon, simplex
 from diminish.cli import main
 from diminish.cube import cube_run_batch
-from diminish.distributions import DfForm, RngStream
+from diminish.distributions import DfForm, RngStream, _change_walk
 from diminish.interval import run_full_batch
 from diminish.polygon import run_polygon_batch
 from diminish.simplex import run_simplex_batch
@@ -172,7 +172,7 @@ def _walked_states():
         for r in range(replicas):
             start = polygon.polygon_new(k)
             yield start
-            yield from polygon._walk(start, steps, RngStream(DEFAULT_SEED + 50, r, (k,)))[1]
+            yield from _change_walk(start, steps, RngStream(DEFAULT_SEED + 50, r, (k,)))[1]
 
 
 def test_snapshots_match_pinned_hash():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diminish import distributions, polygon
-from diminish.distributions import RngStream
+from diminish.distributions import RngStream, _change_walk
 from diminish.errors import DomainError, StateCorruptionError
 from diminish.oracle import _clip_edge, clip_convex_by_convex, match_point_sets, shoelace_area
 from diminish.polygon import (
@@ -237,7 +237,7 @@ class TestSnapshot:
     @pytest.mark.parametrize("k", range(5, 10))
     def test_block_caps_equal_one_column_calls(self, k):
         start = polygon_new(k)
-        _, walked = polygon._walk(start, 400, RngStream(60, 0, (k,)))
+        _, walked = _change_walk(start, 400, RngStream(60, 0, (k,)))
         # k >= 6 adds a state with a redundant side, so the block has rebuilt columns
         states = [start, *walked, *([redundant_middle_side(k)] if k > 5 else [])]
         g = _cycles(np.column_stack([s.offsets for s in states]))

@@ -139,15 +139,27 @@ class TestRunConfig:
             dataclasses.replace(RunConfig(process="cube", n=10, replicas=1, seed=0), replicas=0)
 
     @pytest.mark.parametrize(
-        "key,value", [("n", 10.5), ("replicas", 2.0), ("d", 2.5), ("d", True), ("k", 5.5)]
+        "key,value",
+        [("n", 10.5), ("replicas", 2.0), ("d", 2.5), ("d", True), ("k", 5.5), ("seed", True), ("seed", 1.5)],
     )
     def test_sizes_must_be_integers(self, key, value):
         with pytest.raises(ConfigurationError, match=f"^{key} must be an integer, got {value!r}"):
             RunConfig(**{"process": "simplex", "n": 10, "replicas": 2, "seed": 1, key: value})
 
+    @pytest.mark.parametrize("key,value", [("c", True), ("delta", True), ("c", "0.5"), ("delta", None)])
+    def test_law_parameters_must_be_numbers(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be a number, got {value!r}"):
+            RunConfig(**{"process": "interval", "n": 10, "replicas": 2, "seed": 1, key: value})
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
+            RunConfig(process="interval", n=10, replicas=2, seed=-1)
+
     def test_numpy_integer_sizes_are_accepted(self):
-        cfg = RunConfig(process="polygon", n=np.int64(10), replicas=np.int32(2), seed=1, k=np.int64(7))
-        assert (cfg.n, cfg.replicas, cfg.k) == (10, 2, 7)
+        cfg = RunConfig(
+            process="polygon", n=np.int64(10), replicas=np.int32(2), seed=np.uint32(1), k=np.int64(7)
+        )
+        assert (cfg.n, cfg.replicas, cfg.seed, cfg.k) == (10, 2, 1, 7)
 
 
 class TestRunExperiment:

@@ -1,10 +1,10 @@
-"""The change walkers behind ``diminish simulate`` replay the scalar steppers.
+"""The change walk behind ``diminish simulate`` replays the scalar steppers.
 
-Each walker screens one stream with its batch engine's test and applies the
-scalar step's exact kernel at every candidate.  Expanded over the steps, its
-states must be the per-step loop's, state by state, and it must leave the
-stream where the loop leaves it: the next uniform drawn after the walk is the
-same, so no draw is wasted or skipped.
+For every family the walk screens one stream with the state's batch-engine
+test and applies the scalar step's exact kernel at every candidate.
+Expanded over the steps, its states must be the per-step loop's, state by
+state, and it must leave the stream where the loop leaves it: the next
+uniform drawn after the walk is the same, so no draw is wasted or skipped.
 """
 
 import numpy as np
@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diminish import cube, interval, polygon, simplex
+from diminish import cube, interval, simplex
 from diminish.cube import UNIFORM_LAW
-from diminish.distributions import DfForm, RngStream, df_form_ppf
+from diminish.distributions import DfForm, RngStream, _change_walk, df_form_ppf
 from diminish.interval import _keep_band, apply_full_step, interval_new, step_full
 from diminish.polygon import polygon_new, polygon_step, snapshot
 from diminish.simplex import simplex_full_step, simplex_new
@@ -25,9 +25,9 @@ LAWS = [DfForm(0.3, 2.0), DfForm(0.5, 1.0), DfForm(0.0, 0.5), DfForm(0.8, 0.25),
 
 
 FAMILIES = {
-    "interval": (interval._walk, step_full, lambda s: (s.center, s.radius)),
-    "simplex": (simplex._walk, simplex_full_step, lambda s: s.offsets.tobytes()),
-    "polygon": (polygon._walk, polygon_step, lambda s: s.offsets.tobytes()),
+    "interval": (step_full, lambda s: (s.center, s.radius)),
+    "simplex": (simplex_full_step, lambda s: s.offsets.tobytes()),
+    "polygon": (polygon_step, lambda s: s.offsets.tobytes()),
 }
 
 
@@ -39,13 +39,13 @@ def expand(start, steps, states, n):
 
 
 def assert_walk_replays(family, start, n, stream):
-    """Walker and per-step loop agree at every step, and leave the stream alike."""
-    walk, step, key = FAMILIES[family]
+    """Walk and per-step loop agree at every step, and leave the stream alike."""
+    step, key = FAMILIES[family]
     scalar_rng, walk_rng = stream(), stream()
     loop = [start]
     for _ in range(n):
         loop.append(step(loop[-1], scalar_rng))
-    steps, states = walk(start, n, walk_rng)
+    steps, states = _change_walk(start, n, walk_rng)
     walked = expand(start, steps, states, n)
     assert [key(s) for s in walked] == [key(s) for s in loop]
     changes = [t for t in range(1, n + 1) if key(loop[t]) != key(loop[t - 1])]
