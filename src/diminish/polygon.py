@@ -30,6 +30,9 @@ uniforms per step; :func:`_lifts` tests which points raise an offset and
 :func:`_raise` raises them, so scalar and batch trajectories agree bit for bit.
 Cap areas and reducedness are closed forms on the same cycle columns
 (:func:`_caps`), and a snapshot reads their column 0; nothing here clips.
+A state owns its offsets as a read-only copy, so its cycle, its snapshot and
+its inscribed circle (:func:`chebyshev_center`) are each computed once, on
+first use, and cached beside it.
 
 A state stays fixed between two changes, and late in a run almost every step
 misses every cap.  The batch engine therefore runs in windows: each replica
@@ -136,11 +139,12 @@ class PolygonState:
     def __post_init__(self):
         if self.k < 5:
             raise DomainError(f"k must be >= 5, got {self.k}")
-        o = np.asarray(self.offsets, dtype=float)
+        o = np.array(self.offsets, dtype=float)  # the state's own copy: its caches read it
         if o.shape != (self.k,):
             raise DomainError("offsets must have k entries")
         if not np.isfinite(o).all():
             raise StateCorruptionError("offsets must be finite")
+        o.setflags(write=False)
         object.__setattr__(self, "offsets", o)
 
     @property
@@ -184,6 +188,10 @@ class PolygonState:
             change_area=float(caps[:, 0].sum()),
             reduced=bool(reduced[0]),
         )
+
+    @functools.cached_property
+    def _inscribed(self) -> tuple[np.ndarray, float]:  # see chebyshev_center
+        return _inscribed_circle(self.k, self.offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,23 +490,33 @@ def _triple_inverses(k: int):
     return triples, inv
 
 
-def chebyshev_center(s: PolygonState) -> tuple[np.ndarray, float]:
-    """Center and radius of the largest circle inside the constraint set.
+def _inscribed_circle(k: int, o: np.ndarray) -> tuple[np.ndarray, float]:
+    """Center and radius of the largest circle inside ``<x, q_i> >= o_i``.
 
     The LP ``max r`` subject to ``<x, q_i> - r >= o_i`` attains its optimum
     at a vertex where three constraints are active, so the center is the
     largest feasible radius among the closed-form solutions of all C(k, 3)
     triples; this holds for every k, parallel sides of even k included.
     """
-    triples, inv = _triple_inverses(s.k)
-    sol = np.einsum("tab,tb->ta", inv, s.offsets[triples])  # rows (x, y, r)
+    triples, inv = _triple_inverses(k)
+    sol = np.einsum("tab,tb->ta", inv, o[triples])  # rows (x, y, r)
     r = sol[:, 2]
-    slack = sol[:, :2] @ np.asarray(s.directions).T - s.offsets - r[:, None]
+    slack = sol[:, :2] @ np.asarray(reference_directions(k)).T - o - r[:, None]
     feasible = (slack.min(axis=1) >= -_FEAS_EPS) & (r >= 0.0)
     if not feasible.any():
         raise StateCorruptionError("no feasible inscribed circle found")
     best = int(np.argmax(np.where(feasible, r, -np.inf)))
     return sol[best, :2].copy(), float(r[best])
+
+
+def chebyshev_center(s: PolygonState) -> tuple[np.ndarray, float]:
+    """Center and radius of the largest circle inside the constraint set.
+
+    Solved once per state and cached (:func:`_inscribed_circle`); the center
+    returned is the caller's own copy.
+    """
+    center, radius = s._inscribed
+    return center.copy(), radius
 
 
 # ---------------------------------------------------------------------------

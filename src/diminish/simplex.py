@@ -88,9 +88,10 @@ class SimplexState:
     def __post_init__(self):
         if self.d < 1:
             raise DomainError(f"dimension must be >= 1, got {self.d}")
-        o = np.asarray(self.offsets, dtype=float)
+        o = np.array(self.offsets, dtype=float)  # the state's own, read-only copy
         if o.shape != (self.d + 1,):
             raise DomainError("offsets must have d + 1 entries")
+        o.setflags(write=False)
         object.__setattr__(self, "offsets", o)
         rho = 1.0 / self.d
         m = float(o.sum())

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
@@ -613,12 +614,24 @@ ALL_CHECKS = {
 }
 
 
+def _check_request(names, seed) -> None:
+    """Reject an unknown check name or a bad seed before any check runs.
+
+    A seed must be an integer >= 0, numpy integers included and booleans not,
+    as in :class:`~diminish.stats.RunConfig`.
+    """
+    for name in names:
+        if name not in ALL_CHECKS:
+            raise ConfigurationError(
+                f"unknown check {name!r}; available: {', '.join(ALL_CHECKS)}"
+            )
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def run_check(name: str, seed: int = DEFAULT_SEED, **kwargs) -> CheckResult:
     """Run one named check and record its wall time in ``seconds``."""
-    if name not in ALL_CHECKS:
-        raise ConfigurationError(
-            f"unknown check {name!r}; available: {', '.join(ALL_CHECKS)}"
-        )
+    _check_request([name], seed)
     start = time.perf_counter()
     res = ALL_CHECKS[name](seed=seed, **kwargs)
     res.seconds = time.perf_counter() - start
@@ -626,6 +639,10 @@ def run_check(name: str, seed: int = DEFAULT_SEED, **kwargs) -> CheckResult:
 
 
 def run_suite(names=None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the named checks (default: all), each once, in the order first named."""
+    """Run the named checks (default: all), each once, in the order first named.
+
+    Every name and the seed are checked before the first check runs.
+    """
     names = list(ALL_CHECKS) if names is None else list(dict.fromkeys(names))
+    _check_request(names, seed)
     return [run_check(name, seed=seed) for name in names]

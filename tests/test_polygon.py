@@ -163,6 +163,21 @@ class TestConstruction:
         with pytest.raises(StateCorruptionError):
             PolygonState(5, [bad] * 5)
 
+    def test_state_owns_read_only_offsets(self):
+        start = polygon_new(5).offsets
+        o = start.copy()
+        s = PolygonState(5, o)
+        o[0] += 0.3  # before any cache fills
+        snap, circle = snapshot(s), chebyshev_center(s)
+        o[1] += 0.3  # after they are filled
+        assert np.array_equal(s.offsets, start)
+        fresh = PolygonState(5, start)
+        assert snapshot(s) is snap and snap.area == snapshot(fresh).area
+        assert np.array_equal(chebyshev_center(s)[0], circle[0])
+        assert chebyshev_center(s)[1] == chebyshev_center(fresh)[1] == circle[1]
+        with pytest.raises(ValueError):
+            s.offsets[0] = 0.0
+
     def test_non_finite_point_is_corruption(self):
         with pytest.raises(StateCorruptionError):
             apply_polygon_point(polygon_new(5), (math.nan, 0.0))
@@ -570,6 +585,39 @@ class TestChebyshev:
                 )
                 assert radius == pytest.approx(res.x[2], abs=1e-9), (k, step)
                 assert (dirs @ center - s.offsets - radius).min() >= -1e-9, (k, step)
+
+    def test_solved_once_per_state(self, monkeypatch):
+        calls = []
+        solve = polygon._inscribed_circle
+        monkeypatch.setattr(polygon, "_inscribed_circle", lambda *a: calls.append(a) or solve(*a))
+        s = reduced_regular_pentagon(0.05)
+        center, radius = chebyshev_center(s)
+        for _ in range(3):
+            again, r = chebyshev_center(s)
+            assert np.array_equal(again, center) and r == radius
+        assert len(calls) == 1
+
+    def test_returned_center_is_the_callers_own(self):
+        s = reduced_regular_pentagon(0.05)
+        center, radius = chebyshev_center(s)
+        kept = center.copy()
+        center[:] = 7.0
+        again, r = chebyshev_center(s)
+        assert np.array_equal(again, kept) and r == radius
+
+    @pytest.mark.parametrize("k", range(5, 10))
+    def test_cached_circle_equals_a_fresh_solve(self, k):
+        states = [polygon_new(k)]
+        for rep in range(4):
+            states += _change_walk(polygon_new(k), 400, RngStream(61, rep, (k,)))[1]
+        if k > 5:  # a rebuilt (degenerate) cycle, which walks of k = 6 rarely reach
+            states.append(redundant_middle_side(k))
+        assert any(s._cycle.tightened[0] for s in states) == (k > 5)
+        for s in states:
+            chebyshev_center(s)  # fills the cache
+            center, radius = chebyshev_center(s)
+            fresh_center, fresh_radius = chebyshev_center(PolygonState(k, s.offsets))
+            assert np.array_equal(center, fresh_center) and radius == fresh_radius, k
 
 
 class TestBatchAccumulators:

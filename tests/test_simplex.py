@@ -89,6 +89,15 @@ class TestStartState:
     def test_center_at_origin(self):
         assert np.allclose(simplex_new(3).center, 0.0, atol=1e-15)
 
+    def test_state_owns_read_only_offsets(self):
+        start = simplex_new(2).offsets
+        o = start.copy()
+        s = SimplexState(2, o)
+        o[0] += 0.1
+        assert np.array_equal(s.offsets, start) and s.height == simplex_new(2).height
+        with pytest.raises(ValueError):
+            s.offsets[0] = 0.0
+
 
 class TestFullStep:
     def test_change_probability_example(self):

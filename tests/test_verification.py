@@ -10,6 +10,7 @@ import pytest
 
 from diminish import verification as V
 from diminish.distributions import RngStream
+from diminish.errors import ConfigurationError
 from diminish.polygon import (
     apply_polygon_point,
     bound_constants,
@@ -77,6 +78,31 @@ def test_checks_take_only_their_seed():
     for name, check in V.ALL_CHECKS.items():
         params = list(inspect.signature(check).parameters)
         assert params == (["seed", "steps"] if name == "geometry-oracle" else ["seed"]), name
+
+
+@pytest.mark.parametrize("seed", [-1, True, False, 1.5, "1", None])
+def test_run_check_and_run_suite_reject_a_bad_seed_before_any_check(monkeypatch, seed):
+    ran = []
+    monkeypatch.setitem(V.ALL_CHECKS, "geometry-oracle", lambda **kwargs: ran.append(kwargs))
+    with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+        V.run_check("geometry-oracle", seed=seed)
+    with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+        V.run_suite(["geometry-oracle"], seed=seed)
+    assert ran == []
+
+
+def test_run_check_takes_a_numpy_integer_seed():
+    a = V.run_check("geometry-oracle", seed=np.int64(3), steps=5)
+    b = V.run_check("geometry-oracle", seed=3, steps=5)
+    assert a.passed and (a.stats, a.lines) == (b.stats, b.lines)
+
+
+def test_run_suite_rejects_an_unknown_name_before_any_check(monkeypatch):
+    ran = []
+    monkeypatch.setitem(V.ALL_CHECKS, "figure-ranges", lambda **kwargs: ran.append(kwargs))
+    with pytest.raises(ConfigurationError, match="unknown check 'bogus'"):
+        V.run_suite(["figure-ranges", "bogus"])
+    assert ran == []
 
 
 def per_step_invariants(k, replicas, steps, seed):
